@@ -20,7 +20,6 @@ from .biquandle import (
     block_matrix_encode,
     check_axioms,
     is_quandle,
-    make_biquandle,
     omega,
     symplectic_quandle,
 )
@@ -54,8 +53,6 @@ from .invariant import (
     counting_invariant,
     enumerate_colorings,
     phi_bb,
-    phi_specialize,
-    phi_to_string,
     subbiquandle_closure,
 )
 from .modular import (

@@ -13,23 +13,12 @@ with f(x,y) = x A y^t and w = omega(alpha, beta, n).
 from __future__ import annotations
 
 import ast
-import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 
-from .biquandle import FiniteBiquandle, check_axioms, omega, passes_axioms
+from .biquandle import FiniteBiquandle, _build_tables, omega, passes_axioms
 from .errors import InvariantViolation, ParseError
-from .modular import (
-    Matrix,
-    bilinear_eval,
-    enumerate_module,
-    inv_scalar,
-    reduce_matrix,
-    units,
-    vec_add,
-    vec_scale,
-)
+from .modular import Matrix, inv_scalar, reduce_matrix, units
 
 
 @dataclass(frozen=True)
@@ -79,42 +68,13 @@ def candidate_entries(alpha: int, beta: int, n: int) -> list[int]:
     return [x for x in range(n) if u * x % n == 0 and v * x % n == 0]
 
 
-def _build_tables(n, m, alpha, alpha_inv, beta, beta_inv, w, A):
-    """Materialize the four operation tables over (Z_n)^m."""
-    carrier = enumerate_module(n, m)
-    index = {v: i for i, v in enumerate(carrier)}
-    size = len(carrier)
-    up = [[0] * size for _ in range(size)]
-    upbar = [[0] * size for _ in range(size)]
-    for i, x in enumerate(carrier):
-        ax = vec_scale(alpha, x, n)
-        aix = vec_scale(alpha_inv, x, n)
-        up_i, upbar_i = up[i], upbar[i]
-        for j, y in enumerate(carrier):
-            fxy = bilinear_eval(A, x, y, n)
-            up_i[j] = index[vec_add(ax, vec_scale(fxy, y, n), n)]
-            upbar_i[j] = index[vec_add(aix, vec_scale(w * fxy, y, n), n)]
-    low = [[index[vec_scale(beta, x, n)]] * size for x in carrier]
-    lowbar = [[index[vec_scale(beta_inv, x, n)]] * size for x in carrier]
-    return FiniteBiquandle(carrier, up, upbar, low, lowbar)
-
-
 def build_bilinear(spec: BilinearSpec) -> FiniteBiquandle:
     """Biquandle tables for a spec satisfying its invariants.
 
     No axiom check is performed here.
     """
     spec.validate()
-    return _build_tables(
-        spec.n,
-        spec.m,
-        spec.alpha,
-        spec.alpha_inv,
-        spec.beta,
-        spec.beta_inv,
-        spec.omega,
-        spec.matrix,
-    )
+    return _build_tables(spec.n, spec.m, spec.alpha, spec.beta, spec.matrix)
 
 
 def is_symplectic(spec: BilinearSpec) -> bool:
@@ -135,57 +95,42 @@ def _is_perm_canonical(A: Matrix, m: int) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=None)
-def _invertible_matrices(n: int, m: int) -> tuple[Matrix, ...]:
-    """All Q in GL_m(Z_n)."""
-    out = []
-    for flat in itertools.product(range(n), repeat=m * m):
-        Q = tuple(flat[i * m : (i + 1) * m] for i in range(m))
-        if math.gcd(_det(Q, m) % n, n) == 1:
-            out.append(Q)
-    return tuple(out)
-
-
-def _det(Q, m: int) -> int:
-    if m == 1:
-        return Q[0][0]
-    total = 0
-    for j in range(m):
-        minor = tuple(row[:j] + row[j + 1 :] for row in Q[1:])
-        total += (-1) ** j * Q[0][j] * _det(minor, m - 1)
-    return total
-
-
 def _congruent_min(A: Matrix, n: int, m: int) -> Matrix:
     """Row-major minimal representative of {Q A Q^t : Q in GL_m(Z_n)}.
 
     A basis change of the module carries one accepted structure to
     another with the same alpha, beta; only one representative per
     congruence class is reported.
+
+    The class is the closure of A under Q = I + c e_ij: the transvections
+    (i != j, c = 1) and the scalings diag(u, 1, ..., 1) (i = j = 0,
+    c = u - 1 for a unit u).  Elementary matrices generate SL_m(Z_n)
+    because Z_n is semilocal, and the scalings reach every unit
+    determinant, so these generate GL_m(Z_n).
     """
-    best = A
-    best_flat = tuple(itertools.chain.from_iterable(A))
-    for Q in _invertible_matrices(n, m):
-        B = tuple(
-            tuple(
-                sum(Q[i][k] * A[k][l] * Q[j][l] for k in range(m) for l in range(m)) % n
-                for j in range(m)
-            )
-            for i in range(m)
-        )
-        flat = tuple(itertools.chain.from_iterable(B))
-        if flat < best_flat:
-            best, best_flat = B, flat
-    return best
+    moves = [(i, j, 1) for i in range(m) for j in range(m) if i != j]
+    moves += [(0, 0, u - 1) for u in units(n) if u != 1]
+    orbit = {A}
+    frontier = [A]
+    while frontier:
+        B = frontier.pop()
+        for i, j, c in moves:
+            # Q B Q^t: add c times row j to row i, then column j to column i.
+            rows = [list(row) for row in B]
+            rows[i] = [(x + c * y) % n for x, y in zip(rows[i], rows[j])]
+            for row in rows:
+                row[i] = (row[i] + c * row[j]) % n
+            C = tuple(tuple(row) for row in rows)
+            if C not in orbit:
+                orbit.add(C)
+                frontier.append(C)
+    return min(orbit)
 
 
 def _search_entries(n, m, alpha, beta, entry_values):
     """Yield accepted specs for one (alpha, beta) pair, off-diagonal
     entries drawn from entry_values in row-major ascending order."""
-    alpha_inv = inv_scalar(alpha, n)
-    beta_inv = inv_scalar(beta, n)
-    w = omega(alpha, beta, n)
-    diag = (beta_inv - alpha) % n
+    diag = (inv_scalar(beta, n) - alpha) % n
     offdiag = [(i, j) for i in range(m) for j in range(m) if i != j]
     for combo in itertools.product(entry_values, repeat=len(offdiag)):
         A = [[diag if i == j else 0 for j in range(m)] for i in range(m)]
@@ -194,8 +139,7 @@ def _search_entries(n, m, alpha, beta, entry_values):
         A = tuple(tuple(row) for row in A)
         if not _is_perm_canonical(A, m):
             continue
-        bq = _build_tables(n, m, alpha, alpha_inv, beta, beta_inv, w, A)
-        if passes_axioms(bq):
+        if passes_axioms(_build_tables(n, m, alpha, beta, A)):
             yield BilinearSpec(n, m, alpha, beta, A)
 
 

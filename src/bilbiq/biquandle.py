@@ -14,15 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    IndexOutOfRange,
-    NotAntisymmetric,
-    NotInvertible,
-    ParseError,
-    ShapeError,
-)
+from .errors import IndexOutOfRange, NotAntisymmetric, ParseError, ShapeError
 from .modular import (
-    Matrix,
     bilinear_eval,
     enumerate_module,
     inv_scalar,
@@ -85,11 +78,6 @@ class FiniteBiquandle:
 
     def __repr__(self):
         return f"FiniteBiquandle(size={self.size})"
-
-
-def make_biquandle(carrier, up, upbar, low, lowbar) -> FiniteBiquandle:
-    """Validating constructor; no axiom check."""
-    return FiniteBiquandle(carrier, up, upbar, low, lowbar)
 
 
 @dataclass(frozen=True)
@@ -241,20 +229,37 @@ def symplectic_quandle(n: int, m: int, A) -> FiniteBiquandle:
         for j in range(m):
             if (A[i][j] + A[j][i]) % n != 0:
                 raise NotAntisymmetric(f"A[{i}][{j}] != -A[{j}][{i}] mod {n}")
+    return _build_tables(n, m, 1, 1, A)
+
+
+def _build_tables(n: int, m: int, alpha: int, beta: int, A) -> FiniteBiquandle:
+    """The four operation tables of the bilinear structure on (Z_n)^m:
+
+        x^y    = alpha x + f(x,y) y        x_y    = beta x
+        x^ybar = alpha^-1 x + w f(x,y) y   x_ybar = beta^-1 x
+
+    with f(x,y) = x A y^t and w = omega(alpha, beta, n).  The symplectic
+    quandle is the case alpha = beta = 1, where w = -1.  No axiom check.
+    """
+    alpha_inv = inv_scalar(alpha, n)
+    beta_inv = inv_scalar(beta, n)
+    w = omega(alpha, beta, n)
     carrier = enumerate_module(n, m)
     index = {v: i for i, v in enumerate(carrier)}
     size = len(carrier)
-    up, upbar = [], []
-    for x in carrier:
-        up_row, upbar_row = [], []
-        for y in carrier:
+    up = [[0] * size for _ in range(size)]
+    upbar = [[0] * size for _ in range(size)]
+    for i, x in enumerate(carrier):
+        ax = vec_scale(alpha, x, n)
+        aix = vec_scale(alpha_inv, x, n)
+        up_i, upbar_i = up[i], upbar[i]
+        for j, y in enumerate(carrier):
             fxy = bilinear_eval(A, x, y, n)
-            up_row.append(index[vec_add(x, vec_scale(fxy, y, n), n)])
-            upbar_row.append(index[vec_add(x, vec_scale(-fxy, y, n), n)])
-        up.append(up_row)
-        upbar.append(upbar_row)
-    ident = [[i] * size for i in range(size)]
-    return FiniteBiquandle(carrier, up, upbar, ident, ident)
+            up_i[j] = index[vec_add(ax, vec_scale(fxy, y, n), n)]
+            upbar_i[j] = index[vec_add(aix, vec_scale(w * fxy, y, n), n)]
+    low = [[index[vec_scale(beta, x, n)]] * size for x in carrier]
+    lowbar = [[index[vec_scale(beta_inv, x, n)]] * size for x in carrier]
+    return FiniteBiquandle(carrier, up, upbar, low, lowbar)
 
 
 def is_quandle(bq: FiniteBiquandle) -> bool:

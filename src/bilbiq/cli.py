@@ -10,14 +10,7 @@ import argparse
 import sys
 
 from . import bilinear, biquandle, gauss, invariant
-from .errors import (
-    BilbiqError,
-    CapacityExceeded,
-    InvariantViolation,
-    NotInvertible,
-    ParseError,
-    UnknownLink,
-)
+from .errors import BilbiqError, CapacityExceeded, ParseError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -81,6 +74,8 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_color(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ParseError(f"--limit must be >= 0, got {args.limit}")
     diagram = _load_diagram(args)
     spec = bilinear.parse_spec(args.spec)
     target = bilinear.build_bilinear(spec)
@@ -171,10 +166,7 @@ def run(argv=None) -> int:
     except CapacityExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (ParseError, NotInvertible, InvariantViolation, UnknownLink, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BilbiqError as exc:
+    except (BilbiqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -167,11 +167,3 @@ def phi_bb(diagram: LinkDiagram, spec: BilinearSpec) -> BBPolynomial:
             cache[seed] = key
         terms[key] = terms.get(key, 0) + 1
     return BBPolynomial(terms)
-
-
-def phi_specialize(poly: BBPolynomial, q_val: int, z_val: int) -> int:
-    return poly.specialize(q_val, z_val)
-
-
-def phi_to_string(poly: BBPolynomial) -> str:
-    return poly.to_string()

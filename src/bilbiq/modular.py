@@ -14,15 +14,20 @@ import os
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
-from .errors import CapacityExceeded, DimensionMismatch, NotInvertible
+from .errors import CapacityExceeded, DimensionMismatch, NotInvertible, ParseError
 
 DEFAULT_CARRIER_BOUND = 10_000
 
 
 def carrier_bound() -> int:
-    """Maximum carrier size; overridable via BBQ_CARRIER_BOUND."""
+    """Maximum carrier size; overridable via BBQ_CARRIER_BOUND, which
+    must then be a positive integer."""
     raw = os.environ.get("BBQ_CARRIER_BOUND")
-    return int(raw) if raw else DEFAULT_CARRIER_BOUND
+    if not raw:
+        return DEFAULT_CARRIER_BOUND
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ParseError(f"BBQ_CARRIER_BOUND must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def inv_scalar(x: int, n: int) -> int:
@@ -35,7 +40,7 @@ def inv_scalar(x: int, n: int) -> int:
 def units(n: int) -> list[int]:
     """All invertible scalars mod n, ascending."""
     if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
+        raise DimensionMismatch(f"modulus must be >= 2, got {n}")
     return [x for x in range(1, n) if math.gcd(x, n) == 1]
 
 
@@ -79,7 +84,7 @@ def enumerate_module(n: int, m: int) -> list[Vector]:
     reproducible across runs.
     """
     if n < 2 or m < 1:
-        raise ValueError(f"need n >= 2 and m >= 1, got ({n}, {m})")
+        raise DimensionMismatch(f"need n >= 2 and m >= 1, got ({n}, {m})")
     size = n**m
     if size > carrier_bound():
         raise CapacityExceeded(f"{n}^{m} = {size} exceeds bound {carrier_bound()}")

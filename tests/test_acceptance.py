@@ -22,8 +22,6 @@ from bilbiq import (
     parse_gauss,
     parse_spec,
     phi_bb,
-    phi_specialize,
-    phi_to_string,
     search,
     vec_add,
     vec_scale,
@@ -210,8 +208,8 @@ def test_criterion_4_trefoil_golden(capsys):
     with capsys.disabled():
         report(
             4,
-            phi_to_string(poly) == "q z + 3 q z^2 + 12 q^2 z^4"
-            and phi_specialize(poly, 1, 1) == 16,
+            poly.to_string() == "q z + 3 q z^2 + 12 q^2 z^4"
+            and poly.specialize(1, 1) == 16,
         )
 
 
@@ -222,7 +220,7 @@ def test_criterion_5_specialization(capsys):
         for name in BUILTIN_LINKS:
             diagram = builtin_link(name)
             count = counting_invariant(diagram, target)
-            if phi_specialize(phi_bb(diagram, spec), 1, 1) != count:
+            if phi_bb(diagram, spec).specialize(1, 1) != count:
                 ok = False
     with capsys.disabled():
         report(5, ok)
@@ -272,7 +270,7 @@ def test_criterion_8_reidemeister_stability(capsys):
     diagrams = [parse_gauss(code) for code in UNKNOT_CODES]
     for spec in emitted_specs():
         target = build_bilinear(spec)
-        polys = {phi_to_string(phi_bb(d, spec)) for d in diagrams}
+        polys = {phi_bb(d, spec).to_string() for d in diagrams}
         counts = {counting_invariant(d, target) for d in diagrams}
         if len(polys) != 1 or len(counts) != 1:
             ok = False

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 
 from bilbiq import (
@@ -13,6 +16,7 @@ from bilbiq import (
     parse_spec,
     search,
 )
+from bilbiq.bilinear import _congruent_min
 
 ZERO2 = ((0, 0), (0, 0))
 ZERO3 = ((0, 0, 0), (0, 0, 0), (0, 0, 0))
@@ -132,6 +136,46 @@ class TestBruteForce:
         assert brute_force_search(n, m, exclude_symplectic=False) == search(
             n, m, exclude_symplectic=False
         )
+
+
+def _det(Q):
+    if len(Q) == 1:
+        return Q[0][0]
+    return sum(
+        (-1) ** j * Q[0][j] * _det([row[:j] + row[j + 1 :] for row in Q[1:]])
+        for j in range(len(Q))
+    )
+
+
+class TestCongruentMin:
+    """The orbit closure against the full group GL_m(Z_n), enumerated."""
+
+    @pytest.mark.parametrize("nm", [(2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (2, 3)])
+    def test_matches_gl_enumeration(self, nm):
+        n, m = nm
+        matrices = [
+            tuple(flat[i * m : (i + 1) * m] for i in range(m))
+            for flat in itertools.product(range(n), repeat=m * m)
+        ]
+        gl = [Q for Q in matrices if math.gcd(_det(Q) % n, n) == 1]
+        seen = set()
+        for A in matrices:
+            if A in seen:
+                continue
+            cls = {
+                tuple(
+                    tuple(
+                        sum(Q[i][k] * A[k][l] * Q[j][l] for k in range(m) for l in range(m)) % n
+                        for j in range(m)
+                    )
+                    for i in range(m)
+                )
+                for Q in gl
+            }
+            seen |= cls
+            # A is the class minimum (matrices run in row-major order),
+            # so start from the other end of the class.
+            assert _congruent_min(max(cls), n, m) == A
 
 
 class TestSpecText:

@@ -1,6 +1,7 @@
 import pytest
 
 from bilbiq import (
+    FiniteBiquandle,
     IndexOutOfRange,
     NotAntisymmetric,
     NotInvertible,
@@ -11,7 +12,6 @@ from bilbiq import (
     build_bilinear,
     check_axioms,
     is_quandle,
-    make_biquandle,
     omega,
     parse_spec,
     symplectic_quandle,
@@ -30,7 +30,7 @@ ALEXANDER_3_2_1_MATRIX = """\
 
 
 def trivial_one_element():
-    return make_biquandle([0], [[0]], [[0]], [[0]], [[0]])
+    return FiniteBiquandle([0], [[0]], [[0]], [[0]], [[0]])
 
 
 class TestMakeBiquandle:
@@ -41,7 +41,7 @@ class TestMakeBiquandle:
         good = [[0] * 3 for _ in range(3)]
         bad = [[0, 0, 0], [0, 5, 0], [0, 0, 0]]
         with pytest.raises(IndexOutOfRange):
-            make_biquandle(range(3), bad, good, good, good)
+            FiniteBiquandle(range(3), bad, good, good, good)
 
 
 class TestCheckAxioms:
@@ -54,7 +54,7 @@ class TestCheckAxioms:
     def test_swap_tables_fail_axiom1_with_witness(self):
         swap = [[1, 1], [0, 0]]
         ident = [[0, 0], [1, 1]]
-        report = check_axioms(make_biquandle(range(2), swap, ident, ident, ident))
+        report = check_axioms(FiniteBiquandle(range(2), swap, ident, ident, ident))
         assert not report.axiom_passes(1)
         violation = report.violations[0]
         assert violation.axiom == 1

@@ -183,3 +183,28 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             run(["search", "--n", "3", "--m", "2", "--bogus"])
         assert exc.value.code == 2
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "env, argv",
+        [
+            ({}, ["search", "--n", "1", "--m", "2"]),
+            ({}, ["search", "--n", "3", "--m", "0"]),
+            ({"BBQ_CARRIER_BOUND": "abc"}, ["table", "--max-cardinality", "9"]),
+            ({"BBQ_CARRIER_BOUND": "0"}, ["table", "--max-cardinality", "9"]),
+            (
+                {},
+                ["color", "--link", "trefoil", "--spec", "3,2,2,2,[[0,0],[0,0]]", "--limit", "-1"],
+            ),
+        ],
+        ids=["n-1", "m-0", "bound-abc", "bound-0", "limit-negative"],
+    )
+    def test_one_error_line(self, capsys, monkeypatch, env, argv):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")

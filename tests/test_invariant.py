@@ -11,8 +11,6 @@ from bilbiq import (
     parse_gauss,
     parse_spec,
     phi_bb,
-    phi_specialize,
-    phi_to_string,
     symplectic_quandle,
 )
 from conftest import all_assignments_colorings
@@ -83,26 +81,26 @@ class TestBBPolynomial:
         poly = BBPolynomial({(1, 1): 1, (1, 2): 3, (2, 4): 12})
         assert poly.specialize(1, 1) == 16
         assert poly.specialize(2, 1) == 56
-        assert phi_specialize(poly, 1, 2) == 206
+        assert poly.specialize(1, 2) == 206
 
 
 class TestPhiBB:
     def test_trefoil_golden(self, bb1_spec):
         poly = phi_bb(builtin_link("trefoil"), bb1_spec)
-        assert phi_to_string(poly) == "q z + 3 q z^2 + 12 q^2 z^4"
-        assert phi_specialize(poly, 1, 1) == 16
+        assert poly.to_string() == "q z + 3 q z^2 + 12 q^2 z^4"
+        assert poly.specialize(1, 1) == 16
 
     def test_unknot(self, bb1_spec):
         # the image is the sub-biquandle generated by the single color,
         # which for an order-4 vector x also contains x_y = 3x
         poly = phi_bb(builtin_link("unknot"), bb1_spec)
-        assert phi_to_string(poly) == "q z + 3 q z^2 + 12 q^2 z^4"
+        assert poly.to_string() == "q z + 3 q z^2 + 12 q^2 z^4"
 
     def test_specializes_to_count(self, bb1_spec):
         for name in ("unknot", "trefoil", "trefoil_mirror", "hopf_pos", "figure8"):
             diagram = builtin_link(name)
             poly = phi_bb(diagram, bb1_spec)
-            assert phi_specialize(poly, 1, 1) == counting_invariant(
+            assert poly.specialize(1, 1) == counting_invariant(
                 diagram, build_bilinear(bb1_spec)
             )
 
@@ -117,7 +115,7 @@ class TestReidemeisterStability:
     CODES = ["", "O1+U1+", "O1-U1-", "O1+U2-U1+O2-"]
 
     def test_unknot_diagrams_agree(self, bb1_spec):
-        polys = {phi_to_string(phi_bb(parse_gauss(c), bb1_spec)) for c in self.CODES}
+        polys = {phi_bb(parse_gauss(c), bb1_spec).to_string() for c in self.CODES}
         assert len(polys) == 1
 
     def test_counting_stability_alexander(self):
