@@ -24,65 +24,64 @@ from .modular import submodule_span
 def enumerate_colorings(diagram: LinkDiagram, target: FiniteBiquandle) -> list[tuple[int, ...]]:
     """All colorings, as semiarc-indexed tuples of carrier indices.
 
-    Backtracking on the lowest unassigned semiarc with values tried in
-    ascending order; whenever both inputs of a crossing relation are
-    known its output is propagated.  The result list is lexicographic.
+    Depth-first over an explicit stack of partial colorings: branch on
+    the lowest open semiarc and push its values in descending order.
+    Every semiarc below the branch semiarc is fixed in the whole
+    subtree, so the result list comes out lexicographic.
     """
-    relations = crossing_relations(diagram)
-    tables = {
-        "up": target.up,
-        "low": target.low,
-        "upbar": target.upbar,
-        "lowbar": target.lowbar,
-    }
     n_arcs = diagram.n_semiarcs
     size = target.size
     touching: list[list[tuple[int, int, int, tuple]]] = [[] for _ in range(n_arcs)]
-    for rel in relations:
-        entry = (rel.x, rel.y, rel.output, tables[rel.op])
-        touching[rel.x].append(entry)
-        if rel.y != rel.x:
-            touching[rel.y].append(entry)
+    for rel in crossing_relations(diagram):
+        entry = (rel.x, rel.y, rel.output, getattr(target, rel.op))
+        for arc in {rel.x, rel.y, rel.output}:
+            touching[arc].append(entry)
 
-    assignment: list[int | None] = [None] * n_arcs
-    trail: list[int] = []
-    solutions: list[tuple[int, ...]] = []
-
-    def assign(arc: int, value: int) -> bool:
-        """Set arc := value and propagate; False on conflict."""
-        stack = [(arc, value)]
-        while stack:
-            s, v = stack.pop()
-            cur = assignment[s]
-            if cur is not None:
-                if cur != v:
+    def settle(colors: list, arc: int, value: int) -> bool:
+        """Set colors[arc] = value, then resolve every relation left with
+        one open semiarc; False on a conflict."""
+        pending = [(arc, value)]
+        while pending:
+            arc, value = pending.pop()
+            if colors[arc] is not None:
+                if colors[arc] != value:
                     return False
                 continue
-            assignment[s] = v
-            trail.append(s)
-            for x, y, out, table in touching[s]:
-                vx, vy = assignment[x], assignment[y]
-                if vx is not None and vy is not None:
-                    stack.append((out, table[vx][vy]))
+            colors[arc] = value
+            for x, y, out, table in touching[arc]:
+                cx, cy, co = colors[x], colors[y], colors[out]
+                if cx is not None and cy is not None:
+                    pending.append((out, table[cx][cy]))
+                    continue
+                open_arcs = {a for a in (x, y, out) if colors[a] is None}
+                if len(open_arcs) > 1:
+                    continue
+                # the one open semiarc may stand for several of x, y, out
+                (a,) = open_arcs
+                fits = [
+                    v
+                    for v in range(size)
+                    if table[v if x == a else cx][v if y == a else cy]
+                    == (v if out == a else co)
+                ]
+                if not fits:
+                    return False
+                if len(fits) == 1:
+                    pending.append((a, fits[0]))
         return True
 
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            assignment[trail.pop()] = None
-
-    def branch() -> None:
-        try:
-            arc = assignment.index(None)
-        except ValueError:
-            solutions.append(tuple(assignment))  # type: ignore[arg-type]
-            return
-        for value in range(size):
-            mark = len(trail)
-            if assign(arc, value):
-                branch()
-            undo(mark)
-
-    branch()
+    solutions: list[tuple[int, ...]] = []
+    stack = [[None] * n_arcs]
+    while stack:
+        colors = stack.pop()
+        if None not in colors:
+            solutions.append(tuple(colors))
+            continue
+        arc = colors.index(None)
+        for value in reversed(range(size)):
+            child = colors.copy()
+            if settle(child, arc, value):
+                stack.append(child)
     return solutions
 
 

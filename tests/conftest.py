@@ -20,19 +20,13 @@ def bb1_spec():
 
 def all_assignments_colorings(diagram: LinkDiagram, target: FiniteBiquandle):
     """Exhaustive coloring oracle: test every total assignment against
-    every crossing relation.  Independent of the backtracking path."""
-    tables = {
-        "up": target.up,
-        "low": target.low,
-        "upbar": target.upbar,
-        "lowbar": target.lowbar,
-    }
-    relations = crossing_relations(diagram)
+    every crossing relation.  Independent of the propagating search."""
+    relations = [(getattr(target, r.op), r.x, r.y, r.output) for r in crossing_relations(diagram)]
     out = []
     for assignment in itertools.product(range(target.size), repeat=diagram.n_semiarcs):
         if all(
-            tables[r.op][assignment[r.x]][assignment[r.y]] == assignment[r.output]
-            for r in relations
+            table[assignment[x]][assignment[y]] == assignment[output]
+            for table, x, y, output in relations
         ):
             out.append(assignment)
     return out

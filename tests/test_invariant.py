@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from bilbiq import (
+    BUILTIN_CODES,
     BBPolynomial,
     InvariantViolation,
     alexander_biquandle,
@@ -11,6 +14,7 @@ from bilbiq import (
     parse_gauss,
     parse_spec,
     phi_bb,
+    print_gauss,
     symplectic_quandle,
 )
 from conftest import all_assignments_colorings
@@ -65,6 +69,42 @@ class TestEnumerateColorings:
         assert len(got) == 9
         assert got == all_assignments_colorings(diagram, target)
 
+    def test_long_kink_chain(self):
+        # 2398 semiarcs: deeper than the interpreter's recursion limit
+        code = "".join(f"O{i}+U{i}+" for i in range(1, 1200))
+        target = build_bilinear(parse_spec("3,2,2,2,[[0,1],[2,0]]"))
+        assert counting_invariant(parse_gauss(code), target) == 9
+
+    def test_random_codes_match_oracle(self):
+        # 1-3 crossings cut into 1-3 components give kinks in both token
+        # orders and signs, one-token components and free components
+        targets = [alexander_biquandle(3, 2, 1)] + [
+            build_bilinear(parse_spec(text))
+            for text in (
+                "3,2,2,2,[[0,1],[2,0]]",
+                "3,2,2,2,[[0,0],[0,0]]",
+                "4,2,1,3,[[2,1],[1,2]]",
+            )
+        ]
+        rng = random.Random(20070813)
+        for _ in range(40):
+            n_cross = rng.randint(1, 3)
+            tokens = []
+            for cid in range(1, n_cross + 1):
+                sign = rng.choice("+-")
+                tokens += [f"O{cid}{sign}", f"U{cid}{sign}"]
+            rng.shuffle(tokens)
+            cuts = sorted(rng.randint(0, len(tokens)) for _ in range(rng.randint(0, 2)))
+            bounds = [0, *cuts, len(tokens)]
+            code = ";".join("".join(tokens[a:b]) for a, b in zip(bounds, bounds[1:]))
+            diagram = parse_gauss(code)
+            assert parse_gauss(print_gauss(diagram)) == diagram
+            for target in targets:
+                if target.size**diagram.n_semiarcs <= 2 * 10**5:
+                    assert enumerate_colorings(diagram, target) == all_assignments_colorings(
+                        diagram, target
+                    ), (code, target.size)
+
 
 class TestBBPolynomial:
     def test_to_string_examples(self):
@@ -118,7 +158,13 @@ class TestReidemeisterStability:
         polys = {phi_bb(parse_gauss(c), bb1_spec).to_string() for c in self.CODES}
         assert len(polys) == 1
 
-    def test_counting_stability_alexander(self):
+    def test_counting_stability_alexander(self, bb1_spec):
         target = alexander_biquandle(5, 2, 3)
         counts = {counting_invariant(parse_gauss(c), target) for c in self.CODES}
         assert counts == {5}
+        # a kink at the front of the code puts it on the lowest semiarcs
+        bb1 = build_bilinear(bb1_spec)
+        figure8 = BUILTIN_CODES["figure8"]
+        assert counting_invariant(parse_gauss("O9+U9+" + figure8), bb1) == counting_invariant(
+            parse_gauss(figure8), bb1
+        )
