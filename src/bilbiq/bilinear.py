@@ -15,10 +15,11 @@ from __future__ import annotations
 import ast
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .biquandle import FiniteBiquandle, _build_tables, omega, passes_axioms
-from .errors import InvariantViolation, ParseError
-from .modular import Matrix, inv_scalar, reduce_matrix, units
+from .errors import CapacityExceeded, InvariantViolation, ParseError
+from .modular import Matrix, carrier_bound, inv_scalar, reduce_matrix, units
 
 
 @dataclass(frozen=True)
@@ -85,99 +86,93 @@ def is_symplectic(spec: BilinearSpec) -> bool:
     return all((A[i][j] + A[j][i]) % n == 0 for i in range(m) for j in range(m))
 
 
-def _is_perm_canonical(A: Matrix, m: int) -> bool:
-    """True iff A is row-major minimal among simultaneous row/column
-    permutations P A P^t (a cheap pre-filter for the congruence dedup)."""
-    flat = tuple(itertools.chain.from_iterable(A))
-    for perm in itertools.permutations(range(m)):
-        if tuple(A[perm[i]][perm[j]] for i in range(m) for j in range(m)) < flat:
-            return False
-    return True
+def _congruence_class(A: tuple[int, ...], n: int, m: int) -> set[tuple[int, ...]]:
+    """The congruence class {Q A Q^t : Q in GL_m(Z_n)} of the form A,
+    with A and every member as row-major flat tuples.
 
-
-def _congruent_min(A: Matrix, n: int, m: int) -> Matrix:
-    """Row-major minimal representative of {Q A Q^t : Q in GL_m(Z_n)}.
-
-    A basis change of the module carries one accepted structure to
-    another with the same alpha, beta; only one representative per
-    congruence class is reported.
-
-    The class is the closure of A under Q = I + c e_ij: the transvections
-    (i != j, c = 1) and the scalings diag(u, 1, ..., 1) (i = j = 0,
-    c = u - 1 for a unit u).  Elementary matrices generate SL_m(Z_n)
-    because Z_n is semilocal, and the scalings reach every unit
-    determinant, so these generate GL_m(Z_n).
+    A basis change is a biquandle isomorphism keeping alpha and beta, so
+    a class shares one axiom verdict.  The class is the closure of A
+    under four kinds of Q: the swap of e_0 and e_1 and the cyclic shift,
+    which generate all permutations; I + e_01, whose conjugates by those
+    are all I + e_ij and generate SL_m(Z_n) as Z_n is semilocal; and
+    diag(u, 1, ..., 1) for units u != 1, which reach every determinant.
     """
-    moves = [(i, j, 1) for i in range(m) for j in range(m) if i != j]
-    moves += [(0, 0, u - 1) for u in units(n) if u != 1]
-    orbit = {A}
-    frontier = [A]
+
+    def transvect(B):  # I + e_01: add row 1 to row 0, then column 1 to column 0
+        C = [(a + b) % n for a, b in zip(B[:m], B[m : 2 * m])] + list(B[m:])
+        C[::m] = [(a + b) % n for a, b in zip(C[::m], C[1::m])]
+        return tuple(C)
+
+    cells = [(i, j) for i in range(m) for j in range(m)]
+    moves = []
+    if m > 1:
+        # P A P^t has A[p[i]][p[j]] at (i, j); for m = 2 the shift is the swap.
+        shifts = [[1, 0, *range(2, m)], [*range(1, m), 0]][: m - 1]
+        moves = [itemgetter(*[p[i] * m + p[j] for i, j in cells]) for p in shifts]
+        moves.append(transvect)
+    for u in units(n)[1:]:
+        ws = [pow(u, (i == 0) + (j == 0), n) for i, j in cells]
+        moves.append(lambda B, ws=ws: tuple([b * w % n for b, w in zip(B, ws)]))
+    cls, frontier = {A}, {A}
     while frontier:
-        B = frontier.pop()
-        for i, j, c in moves:
-            # Q B Q^t: add c times row j to row i, then column j to column i.
-            rows = [list(row) for row in B]
-            rows[i] = [(x + c * y) % n for x, y in zip(rows[i], rows[j])]
-            for row in rows:
-                row[i] = (row[i] + c * row[j]) % n
-            C = tuple(tuple(row) for row in rows)
-            if C not in orbit:
-                orbit.add(C)
-                frontier.append(C)
-    return min(orbit)
+        images = set()
+        for move in moves:
+            images.update(map(move, frontier))
+        frontier = images - cls
+        cls |= frontier
+    return cls
 
 
-def _search_entries(n, m, alpha, beta, entry_values):
-    """Yield accepted specs for one (alpha, beta) pair, off-diagonal
-    entries drawn from entry_values in row-major ascending order."""
-    diag = (inv_scalar(beta, n) - alpha) % n
-    offdiag = [(i, j) for i in range(m) for j in range(m) if i != j]
-    for combo in itertools.product(entry_values, repeat=len(offdiag)):
-        A = [[diag if i == j else 0 for j in range(m)] for i in range(m)]
-        for (i, j), e in zip(offdiag, combo):
-            A[i][j] = e
-        A = tuple(tuple(row) for row in A)
-        if not _is_perm_canonical(A, m):
-            continue
-        if passes_axioms(_build_tables(n, m, alpha, beta, A)):
-            yield BilinearSpec(n, m, alpha, beta, A)
+def _rows(flat, m):
+    return tuple(flat[i * m : (i + 1) * m] for i in range(m))
 
 
-def _dedup_and_sort(found, exclude_symplectic):
-    """Drop symplectic structures if asked, reduce each accepted form
-    matrix to its congruence-class representative, and order the result
-    by (alpha, beta, row-major A)."""
+def _classify(n, m, pairs, exclude_symplectic):
+    """One accepted spec per congruence class met among the candidate
+    forms of each (alpha, beta, entry_values) in pairs, reported by the
+    class minimum, symplectic ones dropped if asked, ordered by (alpha,
+    beta, row-major A).  Only the first candidate met in a class is
+    built and checked.  Raises CapacityExceeded, before any table is
+    built, if a unit pair has more candidate forms than carrier_bound().
+    """
+    most = max(len(entries) for _, _, entries in pairs) ** (m * m - m)
+    if most > carrier_bound():
+        raise CapacityExceeded(
+            f"{most} candidate forms for one unit pair on (Z_{n})^{m} exceed bound {carrier_bound()}"
+        )
+    offdiag = [i * m + j for i in range(m) for j in range(m) if i != j]
+    found = []
+    for alpha, beta, entries in pairs:
+        flat = [(inv_scalar(beta, n) - alpha) % n] * (m * m)
+        seen = set()
+        for combo in itertools.product(entries, repeat=len(offdiag)):
+            for k, e in zip(offdiag, combo):
+                flat[k] = e
+            A = tuple(flat)
+            if A in seen:
+                continue
+            cls = _congruence_class(A, n, m)
+            seen |= cls
+            if passes_axioms(_build_tables(n, m, alpha, beta, _rows(A, m))):
+                found.append(BilinearSpec(n, m, alpha, beta, _rows(min(cls), m)))
     if exclude_symplectic:
         found = [s for s in found if not is_symplectic(s)]
-    reps = {}
-    for spec in found:
-        A = _congruent_min(spec.matrix, spec.n, spec.m)
-        key = (spec.alpha, spec.beta, A)
-        if key not in reps:
-            reps[key] = BilinearSpec(spec.n, spec.m, spec.alpha, spec.beta, A)
-    return [reps[key] for key in sorted(reps)]
+    return sorted(found, key=lambda s: (s.alpha, s.beta, s.matrix))
 
 
 def search(n: int, m: int, exclude_symplectic: bool = True) -> list[BilinearSpec]:
     """All bilinear biquandle structures on (Z_n)^m up to module basis
     change, pruned by the admissible-entry conditions, ordered by
     (alpha, beta, row-major A)."""
-    found = []
-    for alpha in units(n):
-        for beta in units(n):
-            entries = candidate_entries(alpha, beta, n)
-            found.extend(_search_entries(n, m, alpha, beta, entries))
-    return _dedup_and_sort(found, exclude_symplectic)
+    pairs = [(a, b, candidate_entries(a, b, n)) for a in units(n) for b in units(n)]
+    return _classify(n, m, pairs, exclude_symplectic)
 
 
 def brute_force_search(n: int, m: int, exclude_symplectic: bool = True) -> list[BilinearSpec]:
     """Same as `search` but with off-diagonal entries ranging over all
     of Z_n; oracle for the entry-condition pruning."""
-    found = []
-    for alpha in units(n):
-        for beta in units(n):
-            found.extend(_search_entries(n, m, alpha, beta, range(n)))
-    return _dedup_and_sort(found, exclude_symplectic)
+    pairs = [(a, b, range(n)) for a in units(n) for b in units(n)]
+    return _classify(n, m, pairs, exclude_symplectic)
 
 
 def format_spec(spec: BilinearSpec) -> str:

@@ -161,7 +161,9 @@ def phi_bb(diagram: LinkDiagram, spec: BilinearSpec) -> BBPolynomial:
         key = cache.get(seed)
         if key is None:
             image = subbiquandle_closure(target, seed)
-            vectors = {target.carrier[i] for i in image}
+            # Each operation's output is a Z_n-combination of its inputs,
+            # so the image spans the same submodule as the colors.
+            vectors = {target.carrier[i] for i in seed}
             key = (len(image), len(submodule_span(vectors, spec.n, spec.m)))
             cache[seed] = key
         terms[key] = terms.get(key, 0) + 1

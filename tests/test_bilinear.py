@@ -16,7 +16,7 @@ from bilbiq import (
     parse_spec,
     search,
 )
-from bilbiq.bilinear import _congruent_min
+from bilbiq.bilinear import _congruence_class
 
 ZERO2 = ((0, 0), (0, 0))
 ZERO3 = ((0, 0, 0), (0, 0, 0), (0, 0, 0))
@@ -129,7 +129,8 @@ class TestSearch:
 
 
 class TestBruteForce:
-    @pytest.mark.parametrize("nm", [(2, 2), (3, 2)])
+    # n = 5 and 7 have unit pairs whose only admissible entry is 0.
+    @pytest.mark.parametrize("nm", [(2, 2), (3, 2), (4, 2), (5, 2)] + [(n, 1) for n in range(2, 8)])
     def test_matches_pruned_search(self, nm):
         n, m = nm
         assert brute_force_search(n, m) == search(n, m)
@@ -148,9 +149,13 @@ def _det(Q):
 
 
 class TestCongruentMin:
-    """The orbit closure against the full group GL_m(Z_n), enumerated."""
+    """The class closure against the full group GL_m(Z_n), enumerated.
+    The search skips every member of a class it has met, so the whole
+    class must match, not only its minimum."""
 
-    @pytest.mark.parametrize("nm", [(2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (2, 3)])
+    @pytest.mark.parametrize(
+        "nm", [(2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (2, 3)] + [(n, 1) for n in range(2, 7)]
+    )
     def test_matches_gl_enumeration(self, nm):
         n, m = nm
         matrices = [
@@ -175,7 +180,8 @@ class TestCongruentMin:
             seen |= cls
             # A is the class minimum (matrices run in row-major order),
             # so start from the other end of the class.
-            assert _congruent_min(max(cls), n, m) == A
+            flat_cls = {sum(B, ()) for B in cls}
+            assert _congruence_class(sum(max(cls), ()), n, m) == flat_cls
 
 
 class TestSpecText:

@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 
 from bilbiq.cli import run
@@ -171,6 +173,25 @@ class TestTable:
         monkeypatch.setenv("BBQ_CARRIER_BOUND", "8")
         code, _, err = invoke(capsys, "table", "--max-cardinality", "9")
         assert code == 3
+
+    @pytest.mark.parametrize("n, m", [("3", "4"), ("2", "5")])
+    def test_candidate_capacity(self, capsys, n, m):
+        # 3^12 and 2^20 candidate forms for alpha = beta = 1; the alarm
+        # turns a walk through them into a failure instead of a hang.
+        def too_slow(signum, frame):
+            raise RuntimeError("search did not stop within 1 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            code, out, err = invoke(capsys, "search", "--n", n, "--m", m)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
 
 
 class TestUsage:
