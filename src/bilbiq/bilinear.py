@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import ast
 import itertools
+import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .biquandle import FiniteBiquandle, _build_tables, omega, passes_axioms
 from .errors import CapacityExceeded, InvariantViolation, ParseError
-from .modular import Matrix, carrier_bound, inv_scalar, reduce_matrix, units
+from .modular import Matrix, carrier_bound, enumerate_module, inv_scalar, reduce_matrix, units
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,51 @@ def build_bilinear(spec: BilinearSpec) -> FiniteBiquandle:
     return _build_tables(spec.n, spec.m, spec.alpha, spec.beta, spec.matrix)
 
 
+def _axioms_1_and_4_hold(n: int, m: int, alpha: int, beta: int, A) -> bool:
+    """Axioms 1 and 4 of (alpha, beta, A), decided on the algebra.
+
+    x_y = beta x ignores y, so two of axiom 1's equations always hold
+    and the other two read f(a,b) c b = 0 for every a, b, with c1 and c3
+    below.  As a runs over (Z_n)^m, f(a,b) runs over the multiples of
+    g = gcd(n, entries of A b^t).  Axiom 4's witnesses are forced to
+    x = y = beta a, which leaves two scalar conditions on each a (the
+    loop's b).  A scalar k kills a vector b iff n divides
+    k gcd(n, entries of b).
+    """
+    alpha_inv, beta_inv = inv_scalar(alpha, n), inv_scalar(beta, n)
+    w = omega(alpha, beta, n)
+    wb2, bi2 = w * beta * beta, beta_inv * beta_inv
+    for b in enumerate_module(n, m):
+        Ab = [sum(r * x for r, x in zip(row, b)) for row in A]
+        f = sum(x * y for x, y in zip(b, Ab))  # f(b, b)
+        d = math.gcd(n, *b)
+        g = math.gcd(n, *Ab)
+        c1 = alpha_inv + wb2 * (alpha + f)
+        c3 = alpha * w + bi2 * (alpha_inv + w * f)
+        if g * c1 * d % n or g * c3 * d % n:
+            return False
+        if (alpha * beta - 1 + beta * f) * d % n or (alpha_inv + wb2 * f - beta) * d % n:
+            return False
+    return True
+
+
+def valid_tables(n: int, m: int, alpha: int, beta: int, A) -> FiniteBiquandle | None:
+    """The tables of (alpha, beta, A) if they satisfy the four axioms,
+    else None.
+
+    Axioms 1 and 4 are decided first, in closed form with no table, and
+    only their survivors are built.  Their tables go through
+    passes_axioms with axiom 3 checked only for a in {0, e_1, ..., e_m}:
+    every operation is linear in its first argument and low, lowbar
+    ignore their second, so each identity is affine in a for fixed (b, c).
+    """
+    if not _axioms_1_and_4_hold(n, m, alpha, beta, A):
+        return None
+    bq = _build_tables(n, m, alpha, beta, A)
+    basis = [0] + [n ** (m - 1 - i) for i in range(m)]  # carrier indices of 0, e_1, ..., e_m
+    return bq if passes_axioms(bq, basis) else None
+
+
 def is_symplectic(spec: BilinearSpec) -> bool:
     """alpha = beta = 1 with antisymmetric A."""
     if spec.alpha != 1 or spec.beta != 1:
@@ -132,8 +178,8 @@ def _classify(n, m, pairs, exclude_symplectic):
     forms of each (alpha, beta, entry_values) in pairs, reported by the
     class minimum, symplectic ones dropped if asked, ordered by (alpha,
     beta, row-major A).  Only the first candidate met in a class is
-    built and checked.  Raises CapacityExceeded, before any table is
-    built, if a unit pair has more candidate forms than carrier_bound().
+    decided.  Raises CapacityExceeded, before any table is built, if a
+    unit pair has more candidate forms than carrier_bound().
     """
     most = max(len(entries) for _, _, entries in pairs) ** (m * m - m)
     if most > carrier_bound():
@@ -143,8 +189,10 @@ def _classify(n, m, pairs, exclude_symplectic):
     offdiag = [i * m + j for i in range(m) for j in range(m) if i != j]
     found = []
     for alpha, beta, entries in pairs:
-        flat = [(inv_scalar(beta, n) - alpha) % n] * (m * m)
-        seen = set()
+        diag = (inv_scalar(beta, n) - alpha) % n
+        flat = [diag] * (m * m)
+        allowed = set(entries)
+        seen = set()  # the candidates of every class met so far
         for combo in itertools.product(entries, repeat=len(offdiag)):
             for k, e in zip(offdiag, combo):
                 flat[k] = e
@@ -152,8 +200,12 @@ def _classify(n, m, pairs, exclude_symplectic):
             if A in seen:
                 continue
             cls = _congruence_class(A, n, m)
-            seen |= cls
-            if passes_axioms(_build_tables(n, m, alpha, beta, _rows(A, m))):
+            seen.update(
+                B
+                for B in cls
+                if B[:: m + 1].count(diag) == m and all(B[k] in allowed for k in offdiag)
+            )
+            if valid_tables(n, m, alpha, beta, _rows(A, m)) is not None:
                 found.append(BilinearSpec(n, m, alpha, beta, _rows(min(cls), m)))
     if exclude_symplectic:
         found = [s for s in found if not is_symplectic(s)]

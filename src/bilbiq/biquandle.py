@@ -15,14 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, NotAntisymmetric, ParseError, ShapeError
-from .modular import (
-    bilinear_eval,
-    enumerate_module,
-    inv_scalar,
-    reduce_matrix,
-    vec_add,
-    vec_scale,
-)
+from .modular import enumerate_module, inv_scalar, reduce_matrix
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -123,49 +116,81 @@ def _axiom1(bq: FiniteBiquandle) -> AxiomViolation | None:
 
 def _axiom2(bq: FiniteBiquandle) -> AxiomViolation | None:
     # Existential witnesses must satisfy their full conjunction of
-    # three equations simultaneously.
+    # three equations simultaneously.  An x can only witness the a with
+    # a = x^bar(b) (a y only a = y^b), so each column b is settled by one
+    # pass over x; the witness is the least failing (a, b), the x
+    # equation before the y equation.
     up, upbar, low, lowbar = bq.up, bq.upbar, bq.low, bq.lowbar
     rng = range(bq.size)
-    for a in rng:
-        for b in rng:
-            if not any(
-                up[a][lowbar[b][x]] == x
-                and upbar[x][b] == a
-                and low[lowbar[b][x]][a] == b
-                for x in rng
-            ):
-                return AxiomViolation(2, "no x: x=a^{b_bar(x)}, a=x^bar(b), b=b_{bar(x)a}", (a, b))
-            if not any(
-                upbar[a][low[b][y]] == y
-                and up[y][b] == a
-                and lowbar[low[b][y]][a] == b
-                for y in rng
-            ):
-                return AxiomViolation(2, "no y: y=a^bar(b_y), a=y^b, b=b_{y bar(a)}", (a, b))
-    return None
+    first = None
+    for b in rng:
+        lowbar_b, low_b = lowbar[b], low[b]
+        has_x = {
+            a
+            for x, a in zip(rng, [row[b] for row in upbar])
+            if up[a][lowbar_b[x]] == x and low[lowbar_b[x]][a] == b
+        }
+        has_y = {
+            a
+            for y, a in zip(rng, [row[b] for row in up])
+            if upbar[a][low_b[y]] == y and lowbar[low_b[y]][a] == b
+        }
+        for a in range(bq.size if first is None else first[0]):
+            if a not in has_x:
+                first = (a, b, "no x: x=a^{b_bar(x)}, a=x^bar(b), b=b_{bar(x)a}")
+                break
+            if a not in has_y:
+                first = (a, b, "no y: y=a^bar(b_y), a=y^b, b=b_{y bar(a)}")
+                break
+    return None if first is None else AxiomViolation(2, first[2], first[:2])
 
 
-def _axiom3(bq: FiniteBiquandle) -> AxiomViolation | None:
+_AXIOM3_EQUATIONS = (
+    "a^{bc} = a^{c_b b^c}",
+    "c_{ba} = c_{a_b b_a}",
+    "(b_a)^{c_{a^b}} = (b^c)_{a^{c_b}}",
+    "a^{bar(b)bar(c)} = a^{bar(c_bar(b)) bar(b^bar(c))}",
+    "c_{bar(b)bar(a)} = c_{bar(a_bar(b)) bar(b_bar(a))}",
+    "(b_bar(a))^bar(c_...) = (b^bar(c))_bar(a^...)",
+)
+
+
+def _axiom3(bq: FiniteBiquandle, firsts=None) -> AxiomViolation | None:
+    """Axiom 3 for every (a, b, c) with a in firsts (default: all a).
+
+    For fixed (a, b) both sides of each identity are computed for every
+    c at once, as lists indexed by c; the witness is the least failing
+    (a, b, c), the identities taken in order.
+    """
     up, upbar, low, lowbar = bq.up, bq.upbar, bq.low, bq.lowbar
     rng = range(bq.size)
-    for a in rng:
+    low_t, lowbar_t = list(zip(*low)), list(zip(*lowbar))  # low_t[b][c] = c_b
+    for a in rng if firsts is None else firsts:
+        up_a, upbar_a, low_a, lowbar_a = up[a], upbar[a], low[a], lowbar[a]
+        low_t_a, lowbar_t_a = low_t[a], lowbar_t[a]
         for b in rng:
-            for c in rng:
-                if up[up[a][b]][c] != up[up[a][low[c][b]]][up[b][c]]:
-                    return AxiomViolation(3, "a^{bc} = a^{c_b b^c}", (a, b, c))
-                if low[low[c][b]][a] != low[low[c][low[a][b]]][low[b][a]]:
-                    return AxiomViolation(3, "c_{ba} = c_{a_b b_a}", (a, b, c))
-                if up[low[b][a]][low[c][up[a][b]]] != low[up[b][c]][up[a][low[c][b]]]:
-                    return AxiomViolation(3, "(b_a)^{c_{a^b}} = (b^c)_{a^{c_b}}", (a, b, c))
-                if upbar[upbar[a][b]][c] != upbar[upbar[a][lowbar[c][b]]][upbar[b][c]]:
-                    return AxiomViolation(3, "a^{bar(b)bar(c)} = a^{bar(c_bar(b)) bar(b^bar(c))}", (a, b, c))
-                if lowbar[lowbar[c][b]][a] != lowbar[lowbar[c][lowbar[a][b]]][lowbar[b][a]]:
-                    return AxiomViolation(3, "c_{bar(b)bar(a)} = c_{bar(a_bar(b)) bar(b_bar(a))}", (a, b, c))
-                if (
-                    upbar[lowbar[b][a]][lowbar[c][upbar[a][b]]]
-                    != lowbar[upbar[b][c]][upbar[a][lowbar[c][b]]]
-                ):
-                    return AxiomViolation(3, "(b_bar(a))^bar(c_...) = (b^bar(c))_bar(a^...)", (a, b, c))
+            c_b, b_c, c_bb, b_cb = low_t[b], up[b], lowbar_t[b], upbar[b]
+            b_a, b_ba = low[b][a], lowbar[b][a]
+            up_ba, low_t_ba = up[b_a], low_t[b_a]
+            upbar_bba, lowbar_t_bba = upbar[b_ba], lowbar_t[b_ba]
+            sides = (
+                (list(up[up_a[b]]), [up[up_a[x]][y] for x, y in zip(c_b, b_c)]),
+                ([low_t_a[x] for x in c_b], [low_t_ba[x] for x in low_t[low_a[b]]]),
+                ([up_ba[x] for x in low_t[up_a[b]]], [low[y][up_a[x]] for x, y in zip(c_b, b_c)]),
+                (list(upbar[upbar_a[b]]), [upbar[upbar_a[x]][y] for x, y in zip(c_bb, b_cb)]),
+                ([lowbar_t_a[x] for x in c_bb], [lowbar_t_bba[x] for x in lowbar_t[lowbar_a[b]]]),
+                (
+                    [upbar_bba[x] for x in lowbar_t[upbar_a[b]]],
+                    [lowbar[y][upbar_a[x]] for x, y in zip(c_bb, b_cb)],
+                ),
+            )
+            if any(lhs != rhs for lhs, rhs in sides):
+                c, k = min(
+                    (next(c for c in rng if lhs[c] != rhs[c]), k)
+                    for k, (lhs, rhs) in enumerate(sides)
+                    if lhs != rhs
+                )
+                return AxiomViolation(3, _AXIOM3_EQUATIONS[k], (a, b, c))
     return None
 
 
@@ -182,19 +207,24 @@ def _axiom4(bq: FiniteBiquandle) -> AxiomViolation | None:
 
 _AXIOM_CHECKS = (_axiom1, _axiom2, _axiom3, _axiom4)
 
-# Cheapest-first order for early rejection during searches; axiom 3 is
-# the O(N^3) check.
-_FAST_ORDER = (_axiom1, _axiom4, _axiom2, _axiom3)
-
 
 def check_axioms(bq: FiniteBiquandle) -> AxiomReport:
     """Exhaustively verify the four biquandle axioms."""
     return AxiomReport(tuple(check(bq) for check in _AXIOM_CHECKS))
 
 
-def passes_axioms(bq: FiniteBiquandle) -> bool:
-    """check_axioms(...).all_pass with early exit across axioms."""
-    return all(check(bq) is None for check in _FAST_ORDER)
+def passes_axioms(bq: FiniteBiquandle, axiom3_firsts=None) -> bool:
+    """check_axioms(...).all_pass with early exit across axioms, cheapest
+    first; axiom 3, the O(N^3) check, comes last.
+
+    With axiom3_firsts, axiom 3 is checked only for a in that set.  That
+    decides it when every identity of axiom 3 is affine in a for fixed
+    (b, c) and the set holds 0 and a basis, as for bilinear structures.
+    """
+    return (
+        all(check(bq) is None for check in (_axiom1, _axiom4, _axiom2))
+        and _axiom3(bq, axiom3_firsts) is None
+    )
 
 
 def alexander_biquandle(n: int, s: int, t: int) -> FiniteBiquandle:
@@ -240,25 +270,34 @@ def _build_tables(n: int, m: int, alpha: int, beta: int, A) -> FiniteBiquandle:
 
     with f(x,y) = x A y^t and w = omega(alpha, beta, n).  The symplectic
     quandle is the case alpha = beta = 1, where w = -1.  No axiom check.
+
+    Works on carrier indices.  The carrier is in lexicographic order, so
+    the index of x reads its coordinates as base-n digits, and the tables
+    of sums, multiples and f are built one coordinate at a time.
     """
     alpha_inv = inv_scalar(alpha, n)
     beta_inv = inv_scalar(beta, n)
     w = omega(alpha, beta, n)
     carrier = enumerate_module(n, m)
-    index = {v: i for i, v in enumerate(carrier)}
-    size = len(carrier)
-    up = [[0] * size for _ in range(size)]
-    upbar = [[0] * size for _ in range(size)]
-    for i, x in enumerate(carrier):
-        ax = vec_scale(alpha, x, n)
-        aix = vec_scale(alpha_inv, x, n)
-        up_i, upbar_i = up[i], upbar[i]
-        for j, y in enumerate(carrier):
-            fxy = bilinear_eval(A, x, y, n)
-            up_i[j] = index[vec_add(ax, vec_scale(fxy, y, n), n)]
-            upbar_i[j] = index[vec_add(aix, vec_scale(w * fxy, y, n), n)]
-    low = [[index[vec_scale(beta, x, n)]] * size for x in carrier]
-    lowbar = [[index[vec_scale(beta_inv, x, n)]] * size for x in carrier]
+    digits = range(n)
+    add = [[0]]  # add[i][j] = index of x_i + x_j
+    scale = [[0] for _ in digits]  # scale[c][j] = index of c x_j
+    form = [[0] * len(carrier)]  # form[i][j] = f(x_i, x_j) = sum over k of x_ik f(e_k, x_j)
+    for k in range(m):
+        add = [[v * n + (d + e) % n for v in row for e in digits] for row in add for d in digits]
+        scale = [[v * n + c * e % n for v in row for e in digits] for c, row in enumerate(scale)]
+        f_k = [0]  # f(e_k, x_j)
+        for a in A[k]:
+            f_k = [(v + a * e) % n for v in f_k for e in digits]
+        form = [[(u + d * v) % n for u, v in zip(row, f_k)] for row in form for d in digits]
+    mult = list(zip(*scale))  # mult[j][c] = index of c x_j
+    wmult = [[col[w * c % n] for c in digits] for col in mult]
+    up = [[add[ax][col[f]] for col, f in zip(mult, fx)] for ax, fx in zip(scale[alpha], form)]
+    upbar = [
+        [add[ax][col[f]] for col, f in zip(wmult, fx)] for ax, fx in zip(scale[alpha_inv], form)
+    ]
+    low = [[j] * len(carrier) for j in scale[beta]]
+    lowbar = [[j] * len(carrier) for j in scale[beta_inv]]
     return FiniteBiquandle(carrier, up, upbar, low, lowbar)
 
 

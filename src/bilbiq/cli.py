@@ -103,14 +103,13 @@ def cmd_table(args) -> int:
             m += 1
         n += 1
     pairs.sort(key=lambda nm: (nm[0] ** nm[1], nm[0]))
-    count = 0
-    for n, m in pairs:
-        for spec in bilinear.search(n, m):
-            bq = bilinear.build_bilinear(spec)
-            flag = "true" if biquandle.is_quandle(bq) else "false"
-            print(f"{bilinear.format_spec(spec)} is_quandle={flag}")
-            count += 1
-    print(f"found {count}")
+    # Every search runs before anything is printed, so a capacity stop
+    # leaves stdout empty.  A bilinear spec is a quandle iff beta = 1.
+    specs = [spec for n, m in pairs for spec in bilinear.search(n, m)]
+    for spec in specs:
+        flag = "true" if spec.beta == 1 else "false"
+        print(f"{bilinear.format_spec(spec)} is_quandle={flag}")
+    print(f"found {len(specs)}")
     return EXIT_OK
 
 

@@ -14,8 +14,8 @@ the sub-biquandle they generate.
 
 from __future__ import annotations
 
-from .bilinear import BilinearSpec, build_bilinear
-from .biquandle import FiniteBiquandle, passes_axioms
+from .bilinear import BilinearSpec, valid_tables
+from .biquandle import FiniteBiquandle
 from .errors import InvariantViolation
 from .gauss import LinkDiagram, crossing_relations
 from .modular import submodule_span
@@ -151,8 +151,9 @@ def subbiquandle_closure(target: FiniteBiquandle, seed) -> frozenset[int]:
 def phi_bb(diagram: LinkDiagram, spec: BilinearSpec) -> BBPolynomial:
     """Sum over colorings of q^|image| z^|span(image)|, the image being
     the sub-biquandle generated by the coloring."""
-    target = build_bilinear(spec)
-    if not passes_axioms(target):
+    spec.validate()
+    target = valid_tables(spec.n, spec.m, spec.alpha, spec.beta, spec.matrix)
+    if target is None:
         raise InvariantViolation(f"spec {spec} does not satisfy the biquandle axioms")
     terms: dict[tuple[int, int], int] = {}
     cache: dict[frozenset[int], tuple[int, int]] = {}

@@ -5,10 +5,18 @@ import itertools
 import pytest
 
 from bilbiq import (
+    AxiomReport,
+    AxiomViolation,
     FiniteBiquandle,
     LinkDiagram,
+    bilinear_eval,
     crossing_relations,
+    enumerate_module,
+    inv_scalar,
+    omega,
     parse_spec,
+    vec_add,
+    vec_scale,
 )
 
 
@@ -30,3 +38,101 @@ def all_assignments_colorings(diagram: LinkDiagram, target: FiniteBiquandle):
         ):
             out.append(assignment)
     return out
+
+
+def reference_check_axioms(bq: FiniteBiquandle) -> AxiomReport:
+    """Exhaustive axiom oracle: every (a, b, c) in order, one plain
+    triple loop per axiom, the first failure as witness.  Independent of
+    the preimage and column tricks in check_axioms."""
+    up, upbar, low, lowbar = bq.up, bq.upbar, bq.low, bq.lowbar
+    rng = range(bq.size)
+
+    def axiom1():
+        for a in rng:
+            for b in rng:
+                if upbar[up[a][b]][low[b][a]] != a:
+                    return AxiomViolation(1, "a = a^{b bar(b_a)}", (a, b))
+                if lowbar[low[b][a]][up[a][b]] != b:
+                    return AxiomViolation(1, "b = b_{a bar(a^b)}", (a, b))
+                if up[upbar[a][b]][lowbar[b][a]] != a:
+                    return AxiomViolation(1, "a = a^{bar(b) b_bar(a)}", (a, b))
+                if low[lowbar[b][a]][upbar[a][b]] != b:
+                    return AxiomViolation(1, "b = b_{bar(a) a^bar(b)}", (a, b))
+        return None
+
+    def axiom2():
+        for a in rng:
+            for b in rng:
+                if not any(
+                    up[a][lowbar[b][x]] == x and upbar[x][b] == a and low[lowbar[b][x]][a] == b
+                    for x in rng
+                ):
+                    return AxiomViolation(
+                        2, "no x: x=a^{b_bar(x)}, a=x^bar(b), b=b_{bar(x)a}", (a, b)
+                    )
+                if not any(
+                    upbar[a][low[b][y]] == y and up[y][b] == a and lowbar[low[b][y]][a] == b
+                    for y in rng
+                ):
+                    return AxiomViolation(2, "no y: y=a^bar(b_y), a=y^b, b=b_{y bar(a)}", (a, b))
+        return None
+
+    def axiom3():
+        for a in rng:
+            for b in rng:
+                for c in rng:
+                    if up[up[a][b]][c] != up[up[a][low[c][b]]][up[b][c]]:
+                        return AxiomViolation(3, "a^{bc} = a^{c_b b^c}", (a, b, c))
+                    if low[low[c][b]][a] != low[low[c][low[a][b]]][low[b][a]]:
+                        return AxiomViolation(3, "c_{ba} = c_{a_b b_a}", (a, b, c))
+                    if up[low[b][a]][low[c][up[a][b]]] != low[up[b][c]][up[a][low[c][b]]]:
+                        return AxiomViolation(3, "(b_a)^{c_{a^b}} = (b^c)_{a^{c_b}}", (a, b, c))
+                    if upbar[upbar[a][b]][c] != upbar[upbar[a][lowbar[c][b]]][upbar[b][c]]:
+                        return AxiomViolation(
+                            3, "a^{bar(b)bar(c)} = a^{bar(c_bar(b)) bar(b^bar(c))}", (a, b, c)
+                        )
+                    if lowbar[lowbar[c][b]][a] != lowbar[lowbar[c][lowbar[a][b]]][lowbar[b][a]]:
+                        return AxiomViolation(
+                            3, "c_{bar(b)bar(a)} = c_{bar(a_bar(b)) bar(b_bar(a))}", (a, b, c)
+                        )
+                    if (
+                        upbar[lowbar[b][a]][lowbar[c][upbar[a][b]]]
+                        != lowbar[upbar[b][c]][upbar[a][lowbar[c][b]]]
+                    ):
+                        return AxiomViolation(
+                            3, "(b_bar(a))^bar(c_...) = (b^bar(c))_bar(a^...)", (a, b, c)
+                        )
+        return None
+
+    def axiom4():
+        for a in rng:
+            if not any(low[a][x] == x and up[x][a] == a for x in rng):
+                return AxiomViolation(4, "no x: x=a_x, a=x^a", (a,))
+            if not any(upbar[a][y] == y and lowbar[y][a] == a for y in rng):
+                return AxiomViolation(4, "no y: y=a^bar(y), a=y_bar(a)", (a,))
+        return None
+
+    return AxiomReport((axiom1(), axiom2(), axiom3(), axiom4()))
+
+
+def reference_build_tables(n, m, alpha, beta, A, w=None) -> FiniteBiquandle:
+    """The bilinear tables evaluated vector by vector from the defining
+    formulas, with the module helpers; oracle for the index-table build.
+    w defaults to omega(alpha, beta, n)."""
+    alpha_inv, beta_inv = inv_scalar(alpha, n), inv_scalar(beta, n)
+    if w is None:
+        w = omega(alpha, beta, n)
+    carrier = enumerate_module(n, m)
+    index = {v: i for i, v in enumerate(carrier)}
+    up, upbar = [], []
+    for x in carrier:
+        ax, aix = vec_scale(alpha, x, n), vec_scale(alpha_inv, x, n)
+        up.append([])
+        upbar.append([])
+        for y in carrier:
+            fxy = bilinear_eval(A, x, y, n)
+            up[-1].append(index[vec_add(ax, vec_scale(fxy, y, n), n)])
+            upbar[-1].append(index[vec_add(aix, vec_scale(w * fxy, y, n), n)])
+    low = [[index[vec_scale(beta, x, n)]] * len(carrier) for x in carrier]
+    lowbar = [[index[vec_scale(beta_inv, x, n)]] * len(carrier) for x in carrier]
+    return FiniteBiquandle(carrier, up, upbar, low, lowbar)

@@ -10,7 +10,6 @@ import pytest
 
 from bilbiq import (
     FiniteBiquandle,
-    bilinear_eval,
     brute_force_search,
     build_bilinear,
     builtin_link,
@@ -28,7 +27,7 @@ from bilbiq import (
 )
 from bilbiq.cli import run
 
-from conftest import all_assignments_colorings
+from conftest import all_assignments_colorings, reference_build_tables
 
 BB1 = "4,2,3,3,[[0,2],[2,0]]"
 
@@ -83,25 +82,9 @@ def emitted_specs():
 
 
 def with_upbar_scalar(spec, w: int) -> FiniteBiquandle:
-    """The spec's tables with upbar rebuilt independently of omega() as
+    """The spec's tables with upbar built independently of omega() as
     x^ybar = alpha^-1 x + w f(x,y) y."""
-    target = build_bilinear(spec)
-    n, carrier = spec.n, target.carrier
-    index = {v: i for i, v in enumerate(carrier)}
-    upbar = [
-        [
-            index[
-                vec_add(
-                    vec_scale(spec.alpha_inv, x, n),
-                    vec_scale(w * bilinear_eval(spec.matrix, x, y, n), y, n),
-                    n,
-                )
-            ]
-            for y in carrier
-        ]
-        for x in carrier
-    ]
-    return FiniteBiquandle(carrier, target.up, upbar, target.low, target.lowbar)
+    return reference_build_tables(spec.n, spec.m, spec.alpha, spec.beta, spec.matrix, w)
 
 
 def orbit_length(f, a: int) -> int:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -15,8 +16,10 @@ from bilbiq import (
     is_symplectic,
     parse_spec,
     search,
+    units,
 )
-from bilbiq.bilinear import _congruence_class
+from bilbiq.bilinear import _axioms_1_and_4_hold, _congruence_class, valid_tables
+from bilbiq.biquandle import _build_tables
 
 ZERO2 = ((0, 0), (0, 0))
 ZERO3 = ((0, 0, 0), (0, 0, 0), (0, 0, 0))
@@ -137,6 +140,52 @@ class TestBruteForce:
         assert brute_force_search(n, m, exclude_symplectic=False) == search(
             n, m, exclude_symplectic=False
         )
+
+
+def brute_force_forms(n, m):
+    """Every (alpha, beta, A) that brute_force_search considers: A has
+    the forced diagonal beta^-1 - alpha and any off-diagonal entries."""
+    cells = [(i, j) for i in range(m) for j in range(m) if i != j]
+    for alpha in units(n):
+        for beta in units(n):
+            diag = (pow(beta, -1, n) - alpha) % n
+            for combo in itertools.product(range(n), repeat=len(cells)):
+                A = [[diag] * m for _ in range(m)]
+                for (i, j), e in zip(cells, combo):
+                    A[i][j] = e
+                yield alpha, beta, tuple(map(tuple, A))
+
+
+class TestValidTables:
+    """The verdict, and its closed form for axioms 1 and 4 on their own,
+    against the exhaustive check of the built tables."""
+
+    @staticmethod
+    def agrees(n, m, alpha, beta, A):
+        report = check_axioms(_build_tables(n, m, alpha, beta, A))
+        closed_form = _axioms_1_and_4_hold(n, m, alpha, beta, A)
+        verdict = valid_tables(n, m, alpha, beta, A) is not None
+        axioms_1_and_4 = report.axiom_passes(1) and report.axiom_passes(4)
+        return (closed_form, verdict) == (axioms_1_and_4, report.all_pass)
+
+    @pytest.mark.parametrize(
+        "nm", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (2, 4)] + [(n, 1) for n in range(2, 8)]
+    )
+    def test_every_brute_force_form(self, nm):
+        n, m = nm
+        assert [f for f in brute_force_forms(n, m) if not self.agrees(n, m, *f)] == []
+
+    @pytest.mark.parametrize("nm", [(6, 2), (7, 2), (3, 3)])
+    def test_seeded_sample(self, nm):
+        """30 random forms, plus every form that search emits."""
+        n, m = nm
+        forms = random.Random(n * 10 + m).sample(list(brute_force_forms(n, m)), 30)
+        forms += [(s.alpha, s.beta, s.matrix) for s in search(n, m, exclude_symplectic=False)]
+        assert [f for f in forms if not self.agrees(n, m, *f)] == []
+
+    def test_returns_the_tables(self, bb1_spec):
+        s = bb1_spec
+        assert valid_tables(s.n, s.m, s.alpha, s.beta, s.matrix) == build_bilinear(s)
 
 
 def _det(Q):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bilbiq import (
@@ -17,6 +19,9 @@ from bilbiq import (
     symplectic_quandle,
     units,
 )
+from bilbiq.biquandle import _build_tables
+
+from conftest import reference_build_tables, reference_check_axioms
 
 ALEXANDER_3_2_1_MATRIX = """\
 3
@@ -59,6 +64,75 @@ class TestCheckAxioms:
         violation = report.violations[0]
         assert violation.axiom == 1
         assert len(violation.elements) == 2
+
+
+def random_tables(rng, size):
+    """Four size x size tables: permutation rows, arbitrary rows or one
+    constant, the kind drawn per table."""
+    tables = []
+    for _ in range(4):
+        kind = rng.randrange(3)
+        if kind == 0:
+            tables.append([rng.sample(range(size), size) for _ in range(size)])
+        elif kind == 1:
+            tables.append([[rng.randrange(size) for _ in range(size)] for _ in range(size)])
+        else:
+            tables.append([[rng.randrange(size)] * size for _ in range(size)])
+    return FiniteBiquandle(range(size), *tables)
+
+
+def invalid_shapes():
+    """The benchmark's structures that must fail: the paper's quoted
+    omega = 1 on (Z_4)^2 (axiom 1), a constant up table (axiom 1) and a
+    swap of b+1, b+2 with projection below (axiom 3 only)."""
+    wrong_omega = reference_build_tables(4, 2, 3, 3, ((0, 1), (3, 0)), w=1)
+    const = [[0] * 16 for _ in range(16)]
+    proj = [[a] * 16 for a in range(16)]
+    constant_up = FiniteBiquandle(range(16), const, proj, proj, proj)
+    swap = [
+        [{(b + 1) % 16: (b + 2) % 16, (b + 2) % 16: (b + 1) % 16}.get(a, a) for b in range(16)]
+        for a in range(16)
+    ]
+    return [wrong_omega, constant_up, FiniteBiquandle(range(16), swap, swap, proj, proj)]
+
+
+class TestCheckAxiomsAgainstReference:
+    """check_axioms gives the plain triple loops' report, witnesses
+    included."""
+
+    def test_random_tables(self):
+        rng = random.Random(20260601)
+        for _ in range(600):
+            bq = random_tables(rng, rng.randint(1, 6))
+            assert check_axioms(bq) == reference_check_axioms(bq)
+
+    def test_invalid_shapes(self):
+        shapes = invalid_shapes()
+        reports = [check_axioms(bq) for bq in shapes]
+        assert reports == [reference_check_axioms(bq) for bq in shapes]
+        assert [r.axiom_passes(k) for r, k in zip(reports, (1, 1, 3))] == [False] * 3
+        assert [reports[2].axiom_passes(k) for k in (1, 2, 4)] == [True] * 3
+
+    def test_valid_structures(self, bb1_spec):
+        for bq in (alexander_biquandle(7, 3, 5), build_bilinear(bb1_spec)):
+            assert check_axioms(bq) == reference_check_axioms(bq)
+
+
+class TestBuildTables:
+    def test_matches_reference(self):
+        """Every unit pair on (Z_n)^m, n = 2..6 with n^m <= 125, with a
+        seeded form."""
+        rng = random.Random(6)
+        for n in range(2, 7):
+            m = 1
+            while n**m <= 125:
+                for alpha in units(n):
+                    for beta in units(n):
+                        A = tuple(tuple(rng.randrange(n) for _ in range(m)) for _ in range(m))
+                        assert _build_tables(n, m, alpha, beta, A) == reference_build_tables(
+                            n, m, alpha, beta, A
+                        ), (n, m, alpha, beta, A)
+                m += 1
 
 
 class TestAlexander:

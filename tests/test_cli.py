@@ -129,6 +129,17 @@ class TestInvariant:
         code, _, err = invoke(capsys, "invariant", "--link", "unknot", "--spec", "x")
         assert code == 2
 
+    def test_capacity(self, capsys, monkeypatch):
+        # The closed-form axiom check walks the carrier, so it must stop
+        # at the bound too, before any table is built.
+        monkeypatch.setenv("BBQ_CARRIER_BOUND", "50")
+        code, out, err = invoke(
+            capsys, "invariant", "--link", "unknot", "--spec", "53,1,1,1,[[0]]"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: 53^1 = 53 exceeds bound 50")
+
 
 class TestColor:
     BB1 = "4,2,3,3,[[0,2],[2,0]]"
@@ -173,6 +184,15 @@ class TestTable:
         monkeypatch.setenv("BBQ_CARRIER_BOUND", "8")
         code, _, err = invoke(capsys, "table", "--max-cardinality", "9")
         assert code == 3
+
+    def test_capacity_stop_prints_no_partial_table(self, capsys):
+        # (Z_2)^5 has 2^20 candidate forms; the searches up to 27
+        # elements succeed first, and none of their lines may be printed.
+        code, out, err = invoke(capsys, "table", "--max-cardinality", "32")
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
 
     @pytest.mark.parametrize("n, m", [("3", "4"), ("2", "5")])
     def test_candidate_capacity(self, capsys, n, m):
