@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .biquandle import FiniteBiquandle, _build_tables, omega, passes_axioms
+from .biquandle import FiniteBiquandle, _axiom2, _axiom3, _build_tables, omega
 from .errors import CapacityExceeded, InvariantViolation, ParseError
 from .modular import Matrix, carrier_bound, enumerate_module, inv_scalar, reduce_matrix, units
 
@@ -82,25 +82,24 @@ def build_bilinear(spec: BilinearSpec) -> FiniteBiquandle:
 def _axioms_1_and_4_hold(n: int, m: int, alpha: int, beta: int, A) -> bool:
     """Axioms 1 and 4 of (alpha, beta, A), decided on the algebra.
 
-    x_y = beta x ignores y, so two of axiom 1's equations always hold
-    and the other two read f(a,b) c b = 0 for every a, b, with c1 and c3
-    below.  As a runs over (Z_n)^m, f(a,b) runs over the multiples of
-    g = gcd(n, entries of A b^t).  Axiom 4's witnesses are forced to
-    x = y = beta a, which leaves two scalar conditions on each a (the
-    loop's b).  A scalar k kills a vector b iff n divides
-    k gcd(n, entries of b).
+    x_y = beta x ignores y, so equations 2 and 4 of axiom 1 always hold.
+    Equation 1, upbar(up(a,b), beta b) = a, reads f(a,b) c b = 0 for
+    every a, b, with c = alpha^-1 + w beta^2 (alpha + f(b,b)).  It makes
+    upbar(., beta b) a left inverse of up(., b), so on a finite carrier
+    a two-sided one, which is equation 3.  As a runs over (Z_n)^m,
+    f(a,b) runs over the multiples of g = gcd(n, entries of A b^t).
+    Axiom 4's witnesses are forced to x = y = beta a, which leaves two
+    scalar conditions on each a (the loop's b).  A scalar k kills a
+    vector b iff n divides k gcd(n, entries of b).
     """
-    alpha_inv, beta_inv = inv_scalar(alpha, n), inv_scalar(beta, n)
-    w = omega(alpha, beta, n)
-    wb2, bi2 = w * beta * beta, beta_inv * beta_inv
+    alpha_inv = inv_scalar(alpha, n)
+    wb2 = omega(alpha, beta, n) * beta * beta
     for b in enumerate_module(n, m):
         Ab = [sum(r * x for r, x in zip(row, b)) for row in A]
         f = sum(x * y for x, y in zip(b, Ab))  # f(b, b)
         d = math.gcd(n, *b)
         g = math.gcd(n, *Ab)
-        c1 = alpha_inv + wb2 * (alpha + f)
-        c3 = alpha * w + bi2 * (alpha_inv + w * f)
-        if g * c1 * d % n or g * c3 * d % n:
+        if g * (alpha_inv + wb2 * (alpha + f)) * d % n:
             return False
         if (alpha * beta - 1 + beta * f) * d % n or (alpha_inv + wb2 * f - beta) * d % n:
             return False
@@ -112,16 +111,16 @@ def valid_tables(n: int, m: int, alpha: int, beta: int, A) -> FiniteBiquandle | 
     else None.
 
     Axioms 1 and 4 are decided first, in closed form with no table, and
-    only their survivors are built.  Their tables go through
-    passes_axioms with axiom 3 checked only for a in {0, e_1, ..., e_m}:
-    every operation is linear in its first argument and low, lowbar
-    ignore their second, so each identity is affine in a for fixed (b, c).
+    only their survivors are built.  Their tables are checked for axiom 2,
+    then for axiom 3 with a only in {0, e_1, ..., e_m}: every operation is
+    linear in its first argument and low, lowbar ignore their second, so
+    each identity of axiom 3 is affine in a for fixed (b, c).
     """
     if not _axioms_1_and_4_hold(n, m, alpha, beta, A):
         return None
     bq = _build_tables(n, m, alpha, beta, A)
     basis = [0] + [n ** (m - 1 - i) for i in range(m)]  # carrier indices of 0, e_1, ..., e_m
-    return bq if passes_axioms(bq, basis) else None
+    return bq if _axiom2(bq) is None and _axiom3(bq, basis) is None else None
 
 
 def is_symplectic(spec: BilinearSpec) -> bool:
@@ -173,14 +172,21 @@ def _rows(flat, m):
     return tuple(flat[i * m : (i + 1) * m] for i in range(m))
 
 
-def _classify(n, m, pairs, exclude_symplectic):
+def _classify(n, m, entries_of, exclude_symplectic):
     """One accepted spec per congruence class met among the candidate
-    forms of each (alpha, beta, entry_values) in pairs, reported by the
-    class minimum, symplectic ones dropped if asked, ordered by (alpha,
-    beta, row-major A).  Only the first candidate met in a class is
-    decided.  Raises CapacityExceeded, before any table is built, if a
-    unit pair has more candidate forms than carrier_bound().
+    forms of each unit pair (alpha, beta), with off-diagonal entries
+    from entries_of(alpha, beta), reported by the class minimum,
+    symplectic ones dropped if asked, ordered by (alpha, beta, row-major
+    A).  Each candidate is decided on its own, and only an accepted one
+    has its class closed: the verdict is exact and a basis change is an
+    isomorphism, so a rejected class is rejected member by member.
+    Raises CapacityExceeded, before any table is built, if there are
+    more unit pairs, or candidate forms for one pair, than carrier_bound().
     """
+    us = units(n)
+    if len(us) ** 2 > carrier_bound():
+        raise CapacityExceeded(f"{len(us)}^2 unit pairs mod {n} exceed bound {carrier_bound()}")
+    pairs = [(a, b, entries_of(a, b)) for a in us for b in us]
     most = max(len(entries) for _, _, entries in pairs) ** (m * m - m)
     if most > carrier_bound():
         raise CapacityExceeded(
@@ -189,24 +195,17 @@ def _classify(n, m, pairs, exclude_symplectic):
     offdiag = [i * m + j for i in range(m) for j in range(m) if i != j]
     found = []
     for alpha, beta, entries in pairs:
-        diag = (inv_scalar(beta, n) - alpha) % n
-        flat = [diag] * (m * m)
-        allowed = set(entries)
-        seen = set()  # the candidates of every class met so far
+        flat = [(inv_scalar(beta, n) - alpha) % n] * (m * m)
+        seen = set()  # every member of the accepted classes met so far
         for combo in itertools.product(entries, repeat=len(offdiag)):
             for k, e in zip(offdiag, combo):
                 flat[k] = e
             A = tuple(flat)
-            if A in seen:
+            if A in seen or valid_tables(n, m, alpha, beta, _rows(A, m)) is None:
                 continue
             cls = _congruence_class(A, n, m)
-            seen.update(
-                B
-                for B in cls
-                if B[:: m + 1].count(diag) == m and all(B[k] in allowed for k in offdiag)
-            )
-            if valid_tables(n, m, alpha, beta, _rows(A, m)) is not None:
-                found.append(BilinearSpec(n, m, alpha, beta, _rows(min(cls), m)))
+            seen |= cls
+            found.append(BilinearSpec(n, m, alpha, beta, _rows(min(cls), m)))
     if exclude_symplectic:
         found = [s for s in found if not is_symplectic(s)]
     return sorted(found, key=lambda s: (s.alpha, s.beta, s.matrix))
@@ -216,15 +215,13 @@ def search(n: int, m: int, exclude_symplectic: bool = True) -> list[BilinearSpec
     """All bilinear biquandle structures on (Z_n)^m up to module basis
     change, pruned by the admissible-entry conditions, ordered by
     (alpha, beta, row-major A)."""
-    pairs = [(a, b, candidate_entries(a, b, n)) for a in units(n) for b in units(n)]
-    return _classify(n, m, pairs, exclude_symplectic)
+    return _classify(n, m, lambda a, b: candidate_entries(a, b, n), exclude_symplectic)
 
 
 def brute_force_search(n: int, m: int, exclude_symplectic: bool = True) -> list[BilinearSpec]:
     """Same as `search` but with off-diagonal entries ranging over all
     of Z_n; oracle for the entry-condition pruning."""
-    pairs = [(a, b, range(n)) for a in units(n) for b in units(n)]
-    return _classify(n, m, pairs, exclude_symplectic)
+    return _classify(n, m, lambda a, b: range(n), exclude_symplectic)
 
 
 def format_spec(spec: BilinearSpec) -> str:

@@ -14,8 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IndexOutOfRange, NotAntisymmetric, ParseError, ShapeError
-from .modular import enumerate_module, inv_scalar, reduce_matrix
+from .errors import (
+    CapacityExceeded,
+    DimensionMismatch,
+    IndexOutOfRange,
+    NotAntisymmetric,
+    ParseError,
+    ShapeError,
+)
+from .modular import carrier_bound, enumerate_module, inv_scalar, reduce_matrix
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -213,26 +220,16 @@ def check_axioms(bq: FiniteBiquandle) -> AxiomReport:
     return AxiomReport(tuple(check(bq) for check in _AXIOM_CHECKS))
 
 
-def passes_axioms(bq: FiniteBiquandle, axiom3_firsts=None) -> bool:
-    """check_axioms(...).all_pass with early exit across axioms, cheapest
-    first; axiom 3, the O(N^3) check, comes last.
-
-    With axiom3_firsts, axiom 3 is checked only for a in that set.  That
-    decides it when every identity of axiom 3 is affine in a for fixed
-    (b, c) and the set holds 0 and a basis, as for bilinear structures.
-    """
-    return (
-        all(check(bq) is None for check in (_axiom1, _axiom4, _axiom2))
-        and _axiom3(bq, axiom3_firsts) is None
-    )
-
-
 def alexander_biquandle(n: int, s: int, t: int) -> FiniteBiquandle:
     """Biquandle on Z_n with a^b = ta + (1-st)b, a_b = sa for units s, t.
 
     The carrier is ordered 1, 2, ..., n-1, 0 so that the printed block
     matrix uses the conventional 1-indexed element labeling x_k = k.
     """
+    if n < 1:
+        raise DimensionMismatch(f"modulus must be >= 1, got {n}")
+    if n > carrier_bound():
+        raise CapacityExceeded(f"Z_{n} has {n} elements, above bound {carrier_bound()}")
     s, t = s % n, t % n
     s_inv = inv_scalar(s, n)
     t_inv = inv_scalar(t, n)

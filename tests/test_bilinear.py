@@ -18,6 +18,7 @@ from bilbiq import (
     search,
     units,
 )
+from bilbiq import bilinear
 from bilbiq.bilinear import _axioms_1_and_4_hold, _congruence_class, valid_tables
 from bilbiq.biquandle import _build_tables
 
@@ -129,6 +130,21 @@ class TestSearch:
             (3, 2, 1, 1, ZERO2),
             (3, 2, 1, 1, ((0, 1), (2, 0))),
         ]
+
+    @pytest.mark.parametrize("nm", [(3, 3), (2, 4), (5, 2)])
+    def test_closes_only_accepted_classes(self, nm, monkeypatch):
+        # A rejected candidate is never closed, so there is one closure
+        # per accepted class and each class gives one spec.
+        calls = []
+        close = bilinear._congruence_class
+
+        def counted(*args):
+            calls.append(args)
+            return close(*args)
+
+        monkeypatch.setattr(bilinear, "_congruence_class", counted)
+        found = search(*nm, exclude_symplectic=False)
+        assert len(calls) == len(found)
 
 
 class TestBruteForce:

@@ -21,6 +21,22 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def invoke_within_1s(capsys, *argv):
+    """invoke, with an alarm that turns a run past 1 s into a failure
+    instead of a hang."""
+
+    def too_slow(signum, frame):
+        raise RuntimeError(f"{argv[0]} did not stop within 1 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        return invoke(capsys, *argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestSearch:
     def test_z3_squared(self, capsys):
         code, out, _ = invoke(capsys, "search", "--n", "3", "--m", "2")
@@ -101,6 +117,20 @@ class TestMatrix:
         code, out, _ = invoke(capsys, "matrix", "--spec", "4,2,3,3,[[0,2],[2,0]]")
         assert code == 0
         assert out.split("\n")[0] == "16"
+
+    @pytest.mark.parametrize(
+        "bound, alexander", [("8", "11,2,3"), (None, "100000,1,1")], ids=["bound-8", "default"]
+    )
+    def test_capacity(self, capsys, monkeypatch, bound, alexander):
+        # The carrier Z_n is checked against the bound before any table
+        # is built; 100000 would mean 10^10-entry tables.
+        if bound is not None:
+            monkeypatch.setenv("BBQ_CARRIER_BOUND", bound)
+        code, out, err = invoke_within_1s(capsys, "matrix", "--alexander", alexander)
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
 
 
 class TestInvariant:
@@ -194,20 +224,11 @@ class TestTable:
         assert len(err.splitlines()) == 1
         assert err.startswith("error:")
 
-    @pytest.mark.parametrize("n, m", [("3", "4"), ("2", "5")])
+    @pytest.mark.parametrize("n, m", [("3", "4"), ("2", "5"), ("211", "1")])
     def test_candidate_capacity(self, capsys, n, m):
-        # 3^12 and 2^20 candidate forms for alpha = beta = 1; the alarm
-        # turns a walk through them into a failure instead of a hang.
-        def too_slow(signum, frame):
-            raise RuntimeError("search did not stop within 1 s")
-
-        previous = signal.signal(signal.SIGALRM, too_slow)
-        signal.setitimer(signal.ITIMER_REAL, 1.0)
-        try:
-            code, out, err = invoke(capsys, "search", "--n", n, "--m", m)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
+        # 3^12 and 2^20 candidate forms for alpha = beta = 1, and 210^2
+        # unit pairs mod 211.
+        code, out, err = invoke_within_1s(capsys, "search", "--n", n, "--m", m)
         assert code == 3
         assert out == ""
         assert len(err.splitlines()) == 1
@@ -238,8 +259,9 @@ class TestUsageErrors:
                 {},
                 ["color", "--link", "trefoil", "--spec", "3,2,2,2,[[0,0],[0,0]]", "--limit", "-1"],
             ),
+            ({}, ["matrix", "--alexander", "0,1,1"]),
         ],
-        ids=["n-1", "m-0", "bound-abc", "bound-0", "limit-negative"],
+        ids=["n-1", "m-0", "bound-abc", "bound-0", "limit-negative", "alexander-n-0"],
     )
     def test_one_error_line(self, capsys, monkeypatch, env, argv):
         for key, value in env.items():
