@@ -13,6 +13,8 @@ Composite superscripts/subscripts read left to right, e.g. a^{bc} is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import itemgetter, sub
 
 from .errors import (
     CapacityExceeded,
@@ -28,13 +30,12 @@ Table = tuple[tuple[int, ...], ...]
 
 
 def _freeze_table(table, size: int, name: str) -> Table:
-    rows = tuple(tuple(int(e) for e in row) for row in table)
-    if len(rows) != size or any(len(row) != size for row in rows):
+    rows = tuple(tuple(map(int, row)) for row in table)
+    if len(rows) != size or set(map(len, rows)) != {size}:
         raise ShapeError(f"{name} table is not {size}x{size}")
-    for row in rows:
-        for e in row:
-            if not 0 <= e < size:
-                raise IndexOutOfRange(f"{name} entry {e} outside [0, {size})")
+    if min(map(min, rows)) < 0 or max(map(max, rows)) >= size:
+        e = next(e for row in rows for e in row if not 0 <= e < size)
+        raise IndexOutOfRange(f"{name} entry {e} outside [0, {size})")
     return rows
 
 
@@ -166,36 +167,55 @@ def _axiom3(bq: FiniteBiquandle, firsts=None) -> AxiomViolation | None:
     """Axiom 3 for every (a, b, c) with a in firsts (default: all a).
 
     For fixed (a, b) both sides of each identity are computed for every
-    c at once, as lists indexed by c; the witness is the least failing
+    c at once, as tuples indexed by c, by C-level gathers: P[b] maps a
+    row r to (r[c_b] for c), and G[b] maps a flat N x N table t, with
+    t[x N + y] = t[x][y], to (t[c_b][b^c] for c); Pbar, Gbar likewise
+    with the barred operations.  The witness is the least failing
     (a, b, c), the identities taken in order.
     """
+    n = bq.size
+    if n == 1:  # every expression is 0; itemgetter of one index returns no tuple
+        return None
     up, upbar, low, lowbar = bq.up, bq.upbar, bq.low, bq.lowbar
-    rng = range(bq.size)
+    rng = range(n)
     low_t, lowbar_t = list(zip(*low)), list(zip(*lowbar))  # low_t[b][c] = c_b
+    P = [itemgetter(*c_b) for c_b in low_t]
+    Pbar = [itemgetter(*c_bb) for c_bb in lowbar_t]
+    G = [itemgetter(*[x * n + y for x, y in zip(c_b, b_c)]) for c_b, b_c in zip(low_t, up)]
+    Gbar = [
+        itemgetter(*[x * n + y for x, y in zip(c_bb, b_cb)]) for c_bb, b_cb in zip(lowbar_t, upbar)
+    ]
     for a in rng if firsts is None else firsts:
         up_a, upbar_a, low_a, lowbar_a = up[a], upbar[a], low[a], lowbar[a]
         low_t_a, lowbar_t_a = low_t[a], lowbar_t[a]
+        # flat tables t[x N + y] of (a^x)^y, y_{a^x} and their barred forms
+        up_up_a = tuple(chain.from_iterable(map(up.__getitem__, up_a)))
+        low_up_a = tuple(chain.from_iterable(map(low_t.__getitem__, up_a)))
+        upbar_upbar_a = tuple(chain.from_iterable(map(upbar.__getitem__, upbar_a)))
+        lowbar_upbar_a = tuple(chain.from_iterable(map(lowbar_t.__getitem__, upbar_a)))
         for b in rng:
-            c_b, b_c, c_bb, b_cb = low_t[b], up[b], lowbar_t[b], upbar[b]
-            b_a, b_ba = low[b][a], lowbar[b][a]
-            up_ba, low_t_ba = up[b_a], low_t[b_a]
-            upbar_bba, lowbar_t_bba = upbar[b_ba], lowbar_t[b_ba]
-            sides = (
-                (list(up[up_a[b]]), [up[up_a[x]][y] for x, y in zip(c_b, b_c)]),
-                ([low_t_a[x] for x in c_b], [low_t_ba[x] for x in low_t[low_a[b]]]),
-                ([up_ba[x] for x in low_t[up_a[b]]], [low[y][up_a[x]] for x, y in zip(c_b, b_c)]),
-                (list(upbar[upbar_a[b]]), [upbar[upbar_a[x]][y] for x, y in zip(c_bb, b_cb)]),
-                ([lowbar_t_a[x] for x in c_bb], [lowbar_t_bba[x] for x in lowbar_t[lowbar_a[b]]]),
-                (
-                    [upbar_bba[x] for x in lowbar_t[upbar_a[b]]],
-                    [lowbar[y][upbar_a[x]] for x, y in zip(c_bb, b_cb)],
-                ),
+            b_a, b_ba = low_t_a[b], lowbar_t_a[b]
+            lhs = (
+                up[up_a[b]],
+                P[b](low_t_a),
+                P[up_a[b]](up[b_a]),
+                upbar[upbar_a[b]],
+                Pbar[b](lowbar_t_a),
+                Pbar[upbar_a[b]](upbar[b_ba]),
             )
-            if any(lhs != rhs for lhs, rhs in sides):
+            rhs = (
+                G[b](up_up_a),
+                P[low_a[b]](low_t[b_a]),
+                G[b](low_up_a),
+                Gbar[b](upbar_upbar_a),
+                Pbar[lowbar_a[b]](lowbar_t[b_ba]),
+                Gbar[b](lowbar_upbar_a),
+            )
+            if lhs != rhs:
                 c, k = min(
-                    (next(c for c in rng if lhs[c] != rhs[c]), k)
-                    for k, (lhs, rhs) in enumerate(sides)
-                    if lhs != rhs
+                    (next(c for c in rng if left[c] != right[c]), k)
+                    for k, (left, right) in enumerate(zip(lhs, rhs))
+                    if left != right
                 )
                 return AxiomViolation(3, _AXIOM3_EQUATIONS[k], (a, b, c))
     return None
@@ -321,11 +341,11 @@ def block_matrix_encode(bq: FiniteBiquandle) -> str:
     Layout: line 1 is N, then 2N rows; top-left a^bbar, top-right a^b,
     bottom-left a_bbar, bottom-right a_b.
     """
+    labels = [str(e + 1) for e in range(bq.size)]
     lines = [str(bq.size)]
     for left, right in ((bq.upbar, bq.up), (bq.lowbar, bq.low)):
-        for i in range(bq.size):
-            row = [str(e + 1) for e in left[i]] + [str(e + 1) for e in right[i]]
-            lines.append(" ".join(row))
+        for l_row, r_row in zip(left, right):
+            lines.append(" ".join(map(labels.__getitem__, chain(l_row, r_row))))
     return "\n".join(lines) + "\n"
 
 
@@ -343,14 +363,14 @@ def block_matrix_decode(text: str) -> FiniteBiquandle:
     rows = []
     for ln in lines[1:]:
         try:
-            row = [int(tok) for tok in ln.split()]
+            row = list(map(int, ln.split()))
         except ValueError as exc:
             raise ParseError(f"non-integer entry in {ln!r}") from exc
         if len(row) != 2 * size:
             raise ParseError(f"row {ln!r} has {len(row)} entries, expected {2 * size}")
-        if any(not 1 <= e <= size for e in row):
+        if min(row) < 1 or max(row) > size:
             raise ParseError(f"entry outside [1, {size}] in {ln!r}")
-        rows.append([e - 1 for e in row])
+        rows.append(list(map(sub, row, repeat(1))))
     upbar = [rows[i][:size] for i in range(size)]
     up = [rows[i][size:] for i in range(size)]
     lowbar = [rows[size + i][:size] for i in range(size)]

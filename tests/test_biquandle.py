@@ -3,6 +3,7 @@ import random
 import pytest
 
 from bilbiq import (
+    AxiomViolation,
     FiniteBiquandle,
     IndexOutOfRange,
     NotAntisymmetric,
@@ -116,6 +117,44 @@ class TestCheckAxiomsAgainstReference:
     def test_valid_structures(self, bb1_spec):
         for bq in (alexander_biquandle(7, 3, 5), build_bilinear(bb1_spec)):
             assert check_axioms(bq) == reference_check_axioms(bq)
+
+    def test_late_witnesses(self, bb1_spec):
+        """One entry changed at (N/2, N/2) in each table of a valid
+        structure.  Random tables fail axiom 3 at a = c = 0 almost
+        always; here the check must walk on.  On BB1, N/2 is the vector
+        (2, 0), which x -> 3x fixes, so the changed low and lowbar
+        entries are not reached from a = 0: the witness is (8, 8, 8)."""
+        structures = [
+            build_bilinear(bb1_spec),
+            build_bilinear(parse_spec("3,3,2,2,[[0,0,0],[0,0,1],[0,2,0]]")),
+            build_bilinear(parse_spec("3,3,2,2,[[0,0,0],[0,0,0],[0,0,0]]")),
+            alexander_biquandle(25, 2, 3),
+        ]
+        witnesses = []
+        for bq in structures:
+            n, late = bq.size, bq.size // 2
+            for k in range(4):
+                tables = [[list(row) for row in t] for t in (bq.up, bq.upbar, bq.low, bq.lowbar)]
+                tables[k][late][late] = (tables[k][late][late] + 2) % n
+                changed = FiniteBiquandle(range(n), *tables)
+                report = check_axioms(changed)
+                assert report == reference_check_axioms(changed), (bq.size, k)
+                if report.violations[2] is not None:
+                    witnesses.append(report.violations[2].elements)
+        assert any(a > 0 and c > 0 for a, _, c in witnesses)
+
+    def test_one_and_two_elements(self):
+        assert check_axioms(trivial_one_element()) == reference_check_axioms(trivial_one_element())
+        assert check_axioms(trivial_one_element()).all_pass
+        rows = [[[x, y], [z, t]] for x in range(2) for y in range(2) for z in range(2) for t in range(2)]
+        for up in rows:
+            for low in rows:
+                bq = FiniteBiquandle(range(2), up, up, low, low)
+                assert check_axioms(bq) == reference_check_axioms(bq), (up, low)
+        zero, low = [[0, 0], [0, 0]], [[0, 0], [1, 0]]
+        assert check_axioms(FiniteBiquandle(range(2), zero, zero, low, low)).violations[2] == (
+            AxiomViolation(3, "c_{ba} = c_{a_b b_a}", (1, 1, 1))
+        )
 
 
 class TestBuildTables:
