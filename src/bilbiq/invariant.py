@@ -21,19 +21,25 @@ from .gauss import LinkDiagram, crossing_relations
 from .modular import submodule_span
 
 
-def enumerate_colorings(diagram: LinkDiagram, target: FiniteBiquandle) -> list[tuple[int, ...]]:
-    """All colorings, as semiarc-indexed tuples of carrier indices.
+def _inverse(values, size: int) -> list[list[int]]:
+    """inverse[z] lists, ascending, every i with values[i] == z."""
+    inverse: list[list[int]] = [[] for _ in range(size)]
+    for i, z in enumerate(values):
+        inverse[z].append(i)
+    return inverse
 
-    Depth-first over an explicit stack of partial colorings: branch on
-    the lowest open semiarc and push its values in descending order.
-    Every semiarc below the branch semiarc is fixed in the whole
-    subtree, so the result list comes out lexicographic.
-    """
+
+def _colorings(diagram: LinkDiagram, target: FiniteBiquandle):
+    """Yield every coloring in lexicographic order; see
+    `enumerate_colorings`."""
     n_arcs = diagram.n_semiarcs
     size = target.size
-    touching: list[list[tuple[int, int, int, tuple]]] = [[] for _ in range(n_arcs)]
+    # Per operation: column y -> (z -> every x with table[x][y] == z), and
+    # row x -> (z -> every y with table[x][y] == z), built when first needed.
+    inverses = {op: ({}, {}) for op in ("up", "upbar", "low", "lowbar")}
+    touching: list[list[tuple]] = [[] for _ in range(n_arcs)]
     for rel in crossing_relations(diagram):
-        entry = (rel.x, rel.y, rel.output, getattr(target, rel.op))
+        entry = (rel.x, rel.y, rel.output, getattr(target, rel.op), *inverses[rel.op])
         for arc in {rel.x, rel.y, rel.output}:
             touching[arc].append(entry)
 
@@ -48,46 +54,77 @@ def enumerate_colorings(diagram: LinkDiagram, target: FiniteBiquandle) -> list[t
                     return False
                 continue
             colors[arc] = value
-            for x, y, out, table in touching[arc]:
+            for x, y, out, table, by_x, by_y in touching[arc]:
                 cx, cy, co = colors[x], colors[y], colors[out]
                 if cx is not None and cy is not None:
                     pending.append((out, table[cx][cy]))
                     continue
-                open_arcs = {a for a in (x, y, out) if colors[a] is None}
-                if len(open_arcs) > 1:
-                    continue
-                # the one open semiarc may stand for several of x, y, out
-                (a,) = open_arcs
-                fits = [
-                    v
-                    for v in range(size)
-                    if table[v if x == a else cx][v if y == a else cy]
-                    == (v if out == a else co)
-                ]
+                if co is not None and cx is not None:
+                    # y alone is open
+                    inverse = by_y.get(cx)
+                    if inverse is None:
+                        inverse = by_y[cx] = _inverse(table[cx], size)
+                    a, fits = y, inverse[co]
+                elif co is not None and cy is not None:
+                    # x alone is open
+                    inverse = by_x.get(cy)
+                    if inverse is None:
+                        inverse = by_x[cy] = _inverse([row[cy] for row in table], size)
+                    a, fits = x, inverse[co]
+                else:
+                    open_arcs = {a for a in (x, y, out) if colors[a] is None}
+                    if len(open_arcs) > 1:
+                        continue
+                    # a kink: the one open semiarc stands for two of x, y, out
+                    (a,) = open_arcs
+                    fits = [
+                        v
+                        for v in range(size)
+                        if table[v if x == a else cx][v if y == a else cy]
+                        == (v if out == a else co)
+                    ]
                 if not fits:
                     return False
                 if len(fits) == 1:
                     pending.append((a, fits[0]))
         return True
 
-    solutions: list[tuple[int, ...]] = []
     stack = [[None] * n_arcs]
     while stack:
         colors = stack.pop()
         if None not in colors:
-            solutions.append(tuple(colors))
+            yield tuple(colors)
             continue
         arc = colors.index(None)
         for value in reversed(range(size)):
             child = colors.copy()
             if settle(child, arc, value):
                 stack.append(child)
-    return solutions
+
+
+def enumerate_colorings(diagram: LinkDiagram, target: FiniteBiquandle) -> list[tuple[int, ...]]:
+    """All colorings, as semiarc-indexed tuples of carrier indices.
+
+    Depth-first over an explicit stack of partial colorings: branch on
+    the lowest open semiarc and push its values in descending order.
+    Every semiarc below the branch semiarc is fixed in the whole
+    subtree, so the result list comes out lexicographic.
+
+    Setting a semiarc settles every relation it leaves with one open
+    semiarc.  When that semiarc is x or y and nothing else, its possible
+    values are one list lookup: the inverse of the relation's table
+    column or row, built in one pass the first time the call needs it.
+    The lists hold every solution, so targets whose rows and columns
+    are not bijections are enumerated exactly.  Only a kink, where one
+    semiarc fills two places of a relation, scans all values.
+    """
+    return list(_colorings(diagram, target))
 
 
 def counting_invariant(diagram: LinkDiagram, target: FiniteBiquandle) -> int:
-    """Number of colorings of the diagram by the target biquandle."""
-    return len(enumerate_colorings(diagram, target))
+    """Number of colorings of the diagram by the target biquandle,
+    counted without holding them."""
+    return sum(1 for _ in _colorings(diagram, target))
 
 
 class BBPolynomial:
@@ -129,43 +166,65 @@ class BBPolynomial:
         return " + ".join(rendered)
 
 
-def subbiquandle_closure(target: FiniteBiquandle, seed) -> frozenset[int]:
-    """Smallest subset of carrier indices containing `seed` and closed
-    under all four operations."""
-    closed = set(seed)
+def subbiquandle_closure(target: FiniteBiquandle, seed, closed=frozenset()) -> frozenset[int]:
+    """Smallest subset of carrier indices containing `seed` and `closed`
+    and closed under all four operations.  `closed` must already be
+    closed, so only pairs with an element outside it are computed."""
+    result = set(closed)
+    frontier = [a for a in set(seed) if a not in result]
+    result.update(frontier)
     tables = (target.up, target.upbar, target.low, target.lowbar)
-    frontier = list(closed)
     while frontier:
         fresh = []
         for a in frontier:
-            for b in list(closed):
+            for b in list(result):
                 for table in tables:
                     for c in (table[a][b], table[b][a]):
-                        if c not in closed:
-                            closed.add(c)
+                        if c not in result:
+                            result.add(c)
                             fresh.append(c)
         frontier = fresh
-    return frozenset(closed)
+    return frozenset(result)
 
 
 def phi_bb(diagram: LinkDiagram, spec: BilinearSpec) -> BBPolynomial:
     """Sum over colorings of q^|image| z^|span(image)|, the image being
-    the sub-biquandle generated by the coloring."""
+    the sub-biquandle generated by the coloring.
+
+    Each distinct seed (set of colors) is worked out once.  Its image is
+    built from the images of its sorted prefixes: a color already in the
+    prefix image leaves it as it is, and a new one extends the closed
+    prefix image, so only pairs with a new element are computed.  Each
+    (prefix image, color) step is kept, and so is (|image|, |span|) per
+    image: seeds with one image share one span.  The memos live for
+    the call only.
+    """
     spec.validate()
     target = valid_tables(spec.n, spec.m, spec.alpha, spec.beta, spec.matrix)
     if target is None:
         raise InvariantViolation(f"spec {spec} does not satisfy the biquandle axioms")
     terms: dict[tuple[int, int], int] = {}
-    cache: dict[frozenset[int], tuple[int, int]] = {}
+    by_seed: dict[frozenset[int], tuple[int, int]] = {}
+    by_image: dict[frozenset[int], tuple[int, int]] = {}
+    grown: dict[tuple[frozenset[int], int], frozenset[int]] = {}
     for coloring in enumerate_colorings(diagram, target):
         seed = frozenset(coloring)
-        key = cache.get(seed)
+        key = by_seed.get(seed)
         if key is None:
-            image = subbiquandle_closure(target, seed)
-            # Each operation's output is a Z_n-combination of its inputs,
-            # so the image spans the same submodule as the colors.
-            vectors = {target.carrier[i] for i in seed}
-            key = (len(image), len(submodule_span(vectors, spec.n, spec.m)))
-            cache[seed] = key
+            image = frozenset()
+            for color in sorted(seed):
+                if color not in image:
+                    step = (image, color)
+                    if step not in grown:
+                        grown[step] = subbiquandle_closure(target, (color,), image)
+                    image = grown[step]
+            key = by_image.get(image)
+            if key is None:
+                # Each operation's output is a Z_n-combination of its
+                # inputs, so the image spans the same submodule as the
+                # colors of any seed that generates it.
+                vectors = {target.carrier[i] for i in seed}
+                key = by_image[image] = (len(image), len(submodule_span(vectors, spec.n, spec.m)))
+            by_seed[seed] = key
         terms[key] = terms.get(key, 0) + 1
     return BBPolynomial(terms)

@@ -11,6 +11,7 @@ from bilbiq import (
     LinkDiagram,
     bilinear_eval,
     crossing_relations,
+    enumerate_colorings,
     enumerate_module,
     inv_scalar,
     omega,
@@ -136,3 +137,67 @@ def reference_build_tables(n, m, alpha, beta, A, w=None) -> FiniteBiquandle:
     low = [[index[vec_scale(beta, x, n)]] * len(carrier) for x in carrier]
     lowbar = [[index[vec_scale(beta_inv, x, n)]] * len(carrier) for x in carrier]
     return FiniteBiquandle(carrier, up, upbar, low, lowbar)
+
+
+def random_tables(rng, size):
+    """Four size x size tables: permutation rows, arbitrary rows or one
+    constant, the kind drawn per table."""
+    tables = []
+    for _ in range(4):
+        kind = rng.randrange(3)
+        if kind == 0:
+            tables.append([rng.sample(range(size), size) for _ in range(size)])
+        elif kind == 1:
+            tables.append([[rng.randrange(size) for _ in range(size)] for _ in range(size)])
+        else:
+            tables.append([[rng.randrange(size)] * size for _ in range(size)])
+    return FiniteBiquandle(range(size), *tables)
+
+
+def invalid_shapes():
+    """The benchmark's structures that must fail: the paper's quoted
+    omega = 1 on (Z_4)^2 (axiom 1), a constant up table (axiom 1) and a
+    swap of b+1, b+2 with projection below (axiom 3 only)."""
+    wrong_omega = reference_build_tables(4, 2, 3, 3, ((0, 1), (3, 0)), w=1)
+    const = [[0] * 16 for _ in range(16)]
+    proj = [[a] * 16 for a in range(16)]
+    constant_up = FiniteBiquandle(range(16), const, proj, proj, proj)
+    swap = [
+        [{(b + 1) % 16: (b + 2) % 16, (b + 2) % 16: (b + 1) % 16}.get(a, a) for b in range(16)]
+        for a in range(16)
+    ]
+    return [wrong_omega, constant_up, FiniteBiquandle(range(16), swap, swap, proj, proj)]
+
+
+def reference_closure(target: FiniteBiquandle, seed) -> set:
+    """Naive fixpoint: apply all four operations to every pair of the
+    current set until nothing new appears."""
+    tables = (target.up, target.upbar, target.low, target.lowbar)
+    closed = set(seed)
+    while True:
+        new = {t[a][b] for t in tables for a in closed for b in closed} - closed
+        if not new:
+            return closed
+        closed |= new
+
+
+def reference_phi(diagram: LinkDiagram, spec) -> dict:
+    """phi_BB's terms {(|Im|, |Span|): count}: per coloring the naive
+    closure of its colors, and their span as every Z_n-combination of
+    their vectors, cached per seed set only.  Independent of
+    subbiquandle_closure and submodule_span, and of the index-table
+    build."""
+    n, m = spec.n, spec.m
+    target = reference_build_tables(n, m, spec.alpha, spec.beta, spec.matrix)
+    terms, cache = {}, {}
+    for coloring in enumerate_colorings(diagram, target):
+        seed = frozenset(coloring)
+        if seed not in cache:
+            vectors = [target.carrier[i] for i in seed]
+            span = {
+                tuple(sum(c * v[k] for c, v in zip(coeffs, vectors)) % n for k in range(m))
+                for coeffs in itertools.product(range(n), repeat=len(vectors))
+            }
+            cache[seed] = (len(reference_closure(target, seed)), len(span))
+        terms[cache[seed]] = terms.get(cache[seed], 0) + 1
+    return terms

@@ -22,7 +22,12 @@ from bilbiq import (
 )
 from bilbiq.biquandle import _build_tables
 
-from conftest import reference_build_tables, reference_check_axioms
+from conftest import (
+    invalid_shapes,
+    random_tables,
+    reference_build_tables,
+    reference_check_axioms,
+)
 
 ALEXANDER_3_2_1_MATRIX = """\
 3
@@ -65,36 +70,6 @@ class TestCheckAxioms:
         violation = report.violations[0]
         assert violation.axiom == 1
         assert len(violation.elements) == 2
-
-
-def random_tables(rng, size):
-    """Four size x size tables: permutation rows, arbitrary rows or one
-    constant, the kind drawn per table."""
-    tables = []
-    for _ in range(4):
-        kind = rng.randrange(3)
-        if kind == 0:
-            tables.append([rng.sample(range(size), size) for _ in range(size)])
-        elif kind == 1:
-            tables.append([[rng.randrange(size) for _ in range(size)] for _ in range(size)])
-        else:
-            tables.append([[rng.randrange(size)] * size for _ in range(size)])
-    return FiniteBiquandle(range(size), *tables)
-
-
-def invalid_shapes():
-    """The benchmark's structures that must fail: the paper's quoted
-    omega = 1 on (Z_4)^2 (axiom 1), a constant up table (axiom 1) and a
-    swap of b+1, b+2 with projection below (axiom 3 only)."""
-    wrong_omega = reference_build_tables(4, 2, 3, 3, ((0, 1), (3, 0)), w=1)
-    const = [[0] * 16 for _ in range(16)]
-    proj = [[a] * 16 for a in range(16)]
-    constant_up = FiniteBiquandle(range(16), const, proj, proj, proj)
-    swap = [
-        [{(b + 1) % 16: (b + 2) % 16, (b + 2) % 16: (b + 1) % 16}.get(a, a) for b in range(16)]
-        for a in range(16)
-    ]
-    return [wrong_omega, constant_up, FiniteBiquandle(range(16), swap, swap, proj, proj)]
 
 
 class TestCheckAxiomsAgainstReference:

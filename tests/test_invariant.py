@@ -15,9 +15,18 @@ from bilbiq import (
     parse_spec,
     phi_bb,
     print_gauss,
+    subbiquandle_closure,
     symplectic_quandle,
 )
-from conftest import all_assignments_colorings
+from conftest import (
+    all_assignments_colorings,
+    invalid_shapes,
+    random_tables,
+    reference_closure,
+    reference_phi,
+)
+
+X27 = "3,3,2,2,[[0,0,0],[0,0,1],[0,2,0]]"
 
 
 class TestEnumerateColorings:
@@ -105,6 +114,24 @@ class TestEnumerateColorings:
                         diagram, target
                     ), (code, target.size)
 
+    def test_targets_without_bijective_rows_match_oracle(self):
+        # An inverse row or column may list several values or none, so the
+        # one-open lookups must return every fitting value.  None of these
+        # targets is a biquandle: the three 16-element invalid shapes
+        # (constant up among them), a spec failing axiom 3, and random
+        # 3-4 element tables.  The kinks run the scan instead.
+        rng = random.Random(20261018)
+        targets = [*invalid_shapes(), build_bilinear(parse_spec("4,2,1,1,[[0,1],[1,0]]"))]
+        targets += [random_tables(rng, rng.randint(3, 4)) for _ in range(12)]
+        codes = ["O1+U1+", "O1-U1-", "O1+U2+;O2+U1+", "O1+U2-U1+O2-", BUILTIN_CODES["trefoil"]]
+        for target in targets:
+            for code in codes:
+                diagram = parse_gauss(code)
+                if target.size**diagram.n_semiarcs <= 10**5:
+                    want = all_assignments_colorings(diagram, target)
+                    assert enumerate_colorings(diagram, target) == want, (code, target.size)
+                    assert counting_invariant(diagram, target) == len(want)
+
 
 class TestBBPolynomial:
     def test_to_string_examples(self):
@@ -149,6 +176,34 @@ class TestPhiBB:
         bad = parse_spec("4,2,1,1,[[0,1],[1,0]]")
         with pytest.raises(InvariantViolation):
             phi_bb(builtin_link("unknot"), bad)
+
+    @pytest.mark.parametrize(
+        "code, spec",
+        [
+            (";;", "4,2,3,3,[[0,2],[2,0]]"),
+            ("O1+U2+;O2+U1+", "4,2,3,3,[[0,2],[2,0]]"),
+            (";", X27),
+            (BUILTIN_CODES["hopf_pos"], X27),
+            (";", "5,2,4,4,[[0,0],[0,0]]"),
+            (BUILTIN_CODES["hopf_pos"], "5,2,4,4,[[0,0],[0,0]]"),
+        ],
+    )
+    def test_matches_reference(self, code, spec):
+        diagram = parse_gauss(code)
+        assert phi_bb(diagram, parse_spec(spec)).terms == reference_phi(diagram, parse_spec(spec))
+
+
+class TestSubbiquandleClosure:
+    def test_extending_a_closed_set(self, bb1_spec):
+        # phi_bb grows images one color at a time from closed prefixes
+        rng = random.Random(20261019)
+        for target in (build_bilinear(bb1_spec), build_bilinear(parse_spec(X27))):
+            for _ in range(40):
+                old = rng.sample(range(target.size), rng.randint(0, 3))
+                new = rng.sample(range(target.size), rng.randint(0, 3))
+                whole = subbiquandle_closure(target, old + new)
+                assert whole == reference_closure(target, old + new)
+                assert subbiquandle_closure(target, new, subbiquandle_closure(target, old)) == whole
 
 
 class TestReidemeisterStability:
