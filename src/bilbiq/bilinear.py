@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .biquandle import FiniteBiquandle, _axiom2, _axiom3, _build_tables, omega
-from .errors import CapacityExceeded, InvariantViolation, ParseError
+from .biquandle import FiniteBiquandle, _axiom3, _build_tables, omega
+from .errors import CapacityExceeded, DimensionMismatch, InvariantViolation, ParseError
 from .modular import Matrix, carrier_bound, enumerate_module, inv_scalar, reduce_matrix, units
 
 
@@ -50,24 +50,22 @@ class BilinearSpec:
         """Check the structural constraints on the diagonal and entries."""
         n = self.n
         diag = (self.beta_inv - self.alpha) % n
-        allowed = set(candidate_entries(self.alpha, self.beta, n))
         for i in range(self.m):
             if self.matrix[i][i] != diag:
                 raise InvariantViolation(
                     f"A[{i}][{i}] = {self.matrix[i][i]}, must equal beta^-1 - alpha = {diag}"
                 )
             for j in range(self.m):
-                if self.matrix[i][j] not in allowed:
+                if (1 - self.beta * self.beta) * self.matrix[i][j] % n:  # see candidate_entries
                     raise InvariantViolation(
                         f"A[{i}][{j}] = {self.matrix[i][j]} fails the entry conditions"
                     )
 
 
 def candidate_entries(alpha: int, beta: int, n: int) -> list[int]:
-    """Scalars x with alpha(1-beta^2)x = beta(1-beta^2)x = 0 mod n."""
-    u = alpha * (1 - beta * beta) % n
-    v = beta * (1 - beta * beta) % n
-    return [x for x in range(n) if u * x % n == 0 and v * x % n == 0]
+    """Scalars x with alpha(1-beta^2)x = beta(1-beta^2)x = 0 mod n, that
+    is (1-beta^2)x = 0 as beta is a unit."""
+    return [x for x in range(n) if (1 - beta * beta) * x % n == 0]
 
 
 def build_bilinear(spec: BilinearSpec) -> FiniteBiquandle:
@@ -79,29 +77,27 @@ def build_bilinear(spec: BilinearSpec) -> FiniteBiquandle:
     return _build_tables(spec.n, spec.m, spec.alpha, spec.beta, spec.matrix)
 
 
-def _axioms_1_and_4_hold(n: int, m: int, alpha: int, beta: int, A) -> bool:
-    """Axioms 1 and 4 of (alpha, beta, A), decided on the algebra.
+def _axiom4_holds(n: int, m: int, alpha: int, beta: int, A) -> bool:
+    """Axiom 4 of (alpha, beta, A) in closed form; it implies axioms 1 and 2.
+    D = beta^-1 - alpha, and a scalar k kills b iff n | k gcd(n, entries of b).
 
-    x_y = beta x ignores y, so equations 2 and 4 of axiom 1 always hold.
-    Equation 1, upbar(up(a,b), beta b) = a, reads f(a,b) c b = 0 for
-    every a, b, with c = alpha^-1 + w beta^2 (alpha + f(b,b)).  It makes
-    upbar(., beta b) a left inverse of up(., b), so on a finite carrier
-    a two-sided one, which is equation 3.  As a runs over (Z_n)^m,
-    f(a,b) runs over the multiples of g = gcd(n, entries of A b^t).
-    Axiom 4's witnesses are forced to x = y = beta a, which leaves two
-    scalar conditions on each a (the loop's b).  A scalar k kills a
-    vector b iff n divides k gcd(n, entries of b).
+    Axiom 4's witnesses are forced to x = y = beta b, leaving two scalar
+    conditions on each b.  The first over beta is (f(b,b) - D) b = 0.  At
+    b = e_1 and 2 e_1 it gives A_11 = D and 3 gcd(n, 2) D = 0, so n divides
+    (beta^2 - 1) D: beta^2 = 1 mod 3, and mod 8 if beta is odd.  Given the
+    first, the second times the unit alpha^2 beta is (beta^2 - 1) beta^2 D^2 b = 0.
+    Axiom 1: x_y ignores y, so equations 2 and 4 hold.  Equation 1 reads
+    f(a,b) c b = 0, c = alpha^-1 + w beta^2 (alpha + f(b,b)), and c b is a
+    unit times (beta^2 - 1) D b = 0.  It makes upbar(., beta b) a left inverse
+    of up(., b), two-sided on a finite carrier, which is equation 3.
+    Axiom 2: low, lowbar ignore their second argument, so each third
+    equation holds; x -> x^bbar and y -> y^b are bijective by equations 3
+    and 1 of axiom 1, and their inverses give the witnesses.
     """
-    alpha_inv = inv_scalar(alpha, n)
-    wb2 = omega(alpha, beta, n) * beta * beta
+    D = inv_scalar(beta, n) - alpha
     for b in enumerate_module(n, m):
-        Ab = [sum(r * x for r, x in zip(row, b)) for row in A]
-        f = sum(x * y for x, y in zip(b, Ab))  # f(b, b)
-        d = math.gcd(n, *b)
-        g = math.gcd(n, *Ab)
-        if g * (alpha_inv + wb2 * (alpha + f)) * d % n:
-            return False
-        if (alpha * beta - 1 + beta * f) * d % n or (alpha_inv + wb2 * f - beta) * d % n:
+        f = sum(x * sum(r * y for r, y in zip(row, b)) for x, row in zip(b, A))  # f(b, b)
+        if (f - D) * math.gcd(n, *b) % n:
             return False
     return True
 
@@ -110,17 +106,16 @@ def valid_tables(n: int, m: int, alpha: int, beta: int, A) -> FiniteBiquandle | 
     """The tables of (alpha, beta, A) if they satisfy the four axioms,
     else None.
 
-    Axioms 1 and 4 are decided first, in closed form with no table, and
-    only their survivors are built.  Their tables are checked for axiom 2,
-    then for axiom 3 with a only in {0, e_1, ..., e_m}: every operation is
-    linear in its first argument and low, lowbar ignore their second, so
-    each identity of axiom 3 is affine in a for fixed (b, c).
+    Axiom 4, which implies axioms 1 and 2, is decided in closed form and
+    only its survivors are built.  Their axiom 3 is checked with a only
+    in {e_1, ..., e_m}: identities 1 and 4 are linear in a, 3 and 6 do
+    not involve a, and 2 and 5 read beta^(+-2) c on both sides.
     """
-    if not _axioms_1_and_4_hold(n, m, alpha, beta, A):
+    if not _axiom4_holds(n, m, alpha, beta, A):
         return None
     bq = _build_tables(n, m, alpha, beta, A)
-    basis = [0] + [n ** (m - 1 - i) for i in range(m)]  # carrier indices of 0, e_1, ..., e_m
-    return bq if _axiom2(bq) is None and _axiom3(bq, basis) is None else None
+    basis = [n ** (m - 1 - i) for i in range(m)]  # carrier indices of e_1, ..., e_m
+    return bq if _axiom3(bq, basis) is None else None
 
 
 def is_symplectic(spec: BilinearSpec) -> bool:
@@ -180,9 +175,13 @@ def _classify(n, m, entries_of, exclude_symplectic):
     A).  Each candidate is decided on its own, and only an accepted one
     has its class closed: the verdict is exact and a basis change is an
     isomorphism, so a rejected class is rejected member by member.
-    Raises CapacityExceeded, before any table is built, if there are
-    more unit pairs, or candidate forms for one pair, than carrier_bound().
+    Raises DimensionMismatch if n < 2 or m < 1, and CapacityExceeded if n^m,
+    the unit pairs or one pair's candidate forms exceed carrier_bound().
     """
+    if n < 2 or m < 1:
+        raise DimensionMismatch(f"need n >= 2 and m >= 1, got ({n}, {m})")
+    if m > carrier_bound().bit_length() or n**m > carrier_bound():  # n^m >= 2^m
+        raise CapacityExceeded(f"(Z_{n})^{m} exceeds bound {carrier_bound()}")
     us = units(n)
     if len(us) ** 2 > carrier_bound():
         raise CapacityExceeded(f"{len(us)}^2 unit pairs mod {n} exceed bound {carrier_bound()}")

@@ -165,7 +165,7 @@ def run(argv=None) -> int:
     except CapacityExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (BilbiqError, OSError) as exc:
+    except (BilbiqError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

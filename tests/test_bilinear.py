@@ -19,7 +19,7 @@ from bilbiq import (
     units,
 )
 from bilbiq import bilinear
-from bilbiq.bilinear import _axioms_1_and_4_hold, _congruence_class, valid_tables
+from bilbiq.bilinear import _axiom4_holds, _congruence_class, valid_tables
 from bilbiq.biquandle import _build_tables
 
 ZERO2 = ((0, 0), (0, 0))
@@ -173,16 +173,17 @@ def brute_force_forms(n, m):
 
 
 class TestValidTables:
-    """The verdict, and its closed form for axioms 1 and 4 on their own,
-    against the exhaustive check of the built tables."""
+    """The verdict, and its closed form for axiom 4, against the
+    exhaustive check of the built tables.  Wherever the closed form
+    holds, axioms 1 and 2 must hold too."""
 
     @staticmethod
     def agrees(n, m, alpha, beta, A):
         report = check_axioms(_build_tables(n, m, alpha, beta, A))
-        closed_form = _axioms_1_and_4_hold(n, m, alpha, beta, A)
+        closed_form = _axiom4_holds(n, m, alpha, beta, A)
         verdict = valid_tables(n, m, alpha, beta, A) is not None
-        axioms_1_and_4 = report.axiom_passes(1) and report.axiom_passes(4)
-        return (closed_form, verdict) == (axioms_1_and_4, report.all_pass)
+        implied = report.axiom_passes(1) and report.axiom_passes(2) or not closed_form
+        return (closed_form, verdict, implied) == (report.axiom_passes(4), report.all_pass, True)
 
     @pytest.mark.parametrize(
         "nm", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (2, 4)] + [(n, 1) for n in range(2, 8)]
@@ -198,6 +199,21 @@ class TestValidTables:
         forms = random.Random(n * 10 + m).sample(list(brute_force_forms(n, m)), 30)
         forms += [(s.alpha, s.beta, s.matrix) for s in search(n, m, exclude_symplectic=False)]
         assert [f for f in forms if not self.agrees(n, m, *f)] == []
+
+    @pytest.mark.parametrize("n", [8, 9, 12, 16])
+    def test_every_diagonal_in_rank_1(self, n):
+        """The 2-adic and 3-adic cases of the closed form's proof, with
+        every diagonal value, not only the forced beta^-1 - alpha."""
+        forms = [(a, b, ((d,),)) for a in units(n) for b in units(n) for d in range(n)]
+        assert [f for f in forms if not self.agrees(n, 1, *f)] == []
+
+    def test_z8_squared(self):
+        """8 random forms, plus every emitted form with D = beta^-1 - alpha
+        = 4 = n/2 and alpha = 1, such as 8,2,1,5,[[4,1],[3,4]]."""
+        forms = random.Random(82).sample(list(brute_force_forms(8, 2)), 8)
+        emitted = [(s.alpha, s.beta, s.matrix) for s in search(8, 2) if s.alpha == 1]
+        assert (1, 5, ((4, 1), (3, 4))) in emitted
+        assert [f for f in forms + emitted if not self.agrees(8, 2, *f)] == []
 
     def test_returns_the_tables(self, bb1_spec):
         s = bb1_spec

@@ -98,6 +98,15 @@ class TestVerify:
         code, _, err = invoke(capsys, "verify", "--matrix-file", str(tmp_path / "no"))
         assert code == 2
 
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        code, out, err = invoke(capsys, "verify", "--matrix-file", str(path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+
 
 class TestMatrix:
     def test_alexander_golden(self, capsys):
@@ -224,11 +233,29 @@ class TestTable:
         assert len(err.splitlines()) == 1
         assert err.startswith("error:")
 
-    @pytest.mark.parametrize("n, m", [("3", "4"), ("2", "5"), ("211", "1")])
+    @pytest.mark.parametrize(
+        "n, m", [("3", "4"), ("2", "5"), ("211", "1"), ("100000000", "1"), ("1000000000000", "2")]
+    )
     def test_candidate_capacity(self, capsys, n, m):
-        # 3^12 and 2^20 candidate forms for alpha = beta = 1, and 210^2
-        # unit pairs mod 211.
+        # 3^12 and 2^20 candidate forms for alpha = beta = 1, 210^2 unit
+        # pairs mod 211, and carriers too large to list the units of.
         code, out, err = invoke_within_1s(capsys, "search", "--n", n, "--m", m)
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+
+
+class TestSpecCapacity:
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify"], ["matrix"], ["invariant", "--link", "unknot"], ["color", "--link", "unknot"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_spec_capacity(self, capsys, argv):
+        # The spec's entries are checked without listing Z_n, so the
+        # carrier bound stops the command at once.
+        code, out, err = invoke_within_1s(capsys, *argv, "--spec", "1000000000000,1,1,1,[[0]]")
         assert code == 3
         assert out == ""
         assert len(err.splitlines()) == 1
