@@ -55,14 +55,6 @@ from .invariant import (
     phi_bb,
     subbiquandle_closure,
 )
-from .modular import (
-    bilinear_eval,
-    enumerate_module,
-    inv_scalar,
-    submodule_span,
-    units,
-    vec_add,
-    vec_scale,
-)
+from .modular import enumerate_module, inv_scalar, units
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ import sys
 
 from . import bilinear, biquandle, gauss, invariant
 from .errors import BilbiqError, CapacityExceeded, ParseError
+from .modular import carrier_bound
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -94,6 +95,11 @@ def cmd_color(args) -> int:
 
 
 def cmd_table(args) -> int:
+    # Refuse a cardinality past the carrier bound before listing the
+    # (n, m) pairs up to it: the listing alone takes sqrt(max) steps.
+    bound = carrier_bound()
+    if args.max_cardinality > bound:
+        raise CapacityExceeded(f"max cardinality {args.max_cardinality} exceeds bound {bound}")
     pairs = []
     n = 2
     while n * n <= args.max_cardinality:

@@ -18,7 +18,7 @@ from .bilinear import BilinearSpec, valid_tables
 from .biquandle import FiniteBiquandle
 from .errors import InvariantViolation
 from .gauss import LinkDiagram, crossing_relations
-from .modular import submodule_span
+from .modular import span_size
 
 
 def _inverse(values, size: int) -> list[list[int]]:
@@ -196,8 +196,8 @@ def phi_bb(diagram: LinkDiagram, spec: BilinearSpec) -> BBPolynomial:
     prefix image leaves it as it is, and a new one extends the closed
     prefix image, so only pairs with a new element are computed.  Each
     (prefix image, color) step is kept, and so is (|image|, |span|) per
-    image: seeds with one image share one span.  The memos live for
-    the call only.
+    image: seeds with one image share one span count.  The memos live
+    for the call only.
     """
     spec.validate()
     target = valid_tables(spec.n, spec.m, spec.alpha, spec.beta, spec.matrix)
@@ -224,7 +224,7 @@ def phi_bb(diagram: LinkDiagram, spec: BilinearSpec) -> BBPolynomial:
                 # inputs, so the image spans the same submodule as the
                 # colors of any seed that generates it.
                 vectors = {target.carrier[i] for i in seed}
-                key = by_image[image] = (len(image), len(submodule_span(vectors, spec.n, spec.m)))
+                key = by_image[image] = (len(image), span_size(vectors, spec.n, spec.m))
             by_seed[seed] = key
         terms[key] = terms.get(key, 0) + 1
     return BBPolynomial(terms)

@@ -1,4 +1,6 @@
-"""Exact arithmetic in Z_n and in the free module (Z_n)^m.
+"""Exact arithmetic in Z_n and in the free module (Z_n)^m: units and
+inverses, the lexicographic listing of (Z_n)^m, and the size of a
+submodule counted by elimination.
 
 Scalars are always stored as canonical representatives in [0, n).
 Vectors are plain tuples of ints, matrices are tuples of row tuples;
@@ -53,30 +55,6 @@ def reduce_matrix(entries, n: int) -> Matrix:
     return rows
 
 
-def bilinear_eval(A: Matrix, x: Vector, y: Vector, n: int) -> int:
-    """Evaluate the bilinear form x A y^t mod n."""
-    m = len(A)
-    if len(x) != m or len(y) != m or any(len(row) != m for row in A):
-        raise DimensionMismatch(
-            f"form of size {m} applied to vectors of length {len(x)}, {len(y)}"
-        )
-    total = 0
-    for i in range(m):
-        xi = x[i]
-        if xi:
-            row = A[i]
-            total += xi * sum(row[j] * y[j] for j in range(m))
-    return total % n
-
-
-def vec_add(x: Vector, y: Vector, n: int) -> Vector:
-    return tuple((a + b) % n for a, b in zip(x, y))
-
-
-def vec_scale(c: int, x: Vector, n: int) -> Vector:
-    return tuple((c * a) % n for a in x)
-
-
 def enumerate_module(n: int, m: int) -> list[Vector]:
     """All n^m vectors of (Z_n)^m in lexicographic order, zero first.
 
@@ -91,26 +69,28 @@ def enumerate_module(n: int, m: int) -> list[Vector]:
     return list(itertools.product(range(n), repeat=m))
 
 
-def submodule_span(vectors, n: int, m: int) -> set[Vector]:
-    """Smallest subset containing the input and 0, closed under + and
-    scalar multiplication, by breadth-first closure.
+def span_size(vectors, n: int, m: int) -> int:
+    """Size of the submodule of (Z_n)^m that the vectors span, counted
+    by elimination without listing it.
 
-    In (Z_n)^m scalar multiples are repeated sums, so closing under
-    addition by the generators suffices.
+    Column j starts a pivot at n*e_j and folds each row into it by
+    Euclid steps on coordinate j; a row whose coordinate j reaches 0
+    passes on to column j + 1.  Coordinates before j are 0 and
+    coordinate j stays below n, so taking the others mod n only adds
+    multiples of n*e_k for k > j, each still to come as column k's
+    start.  The pivots are then a triangular basis of the lattice L in
+    Z^m spanned by the vectors and nZ^m, and
+
+        |Span| = n^m / det L = prod_j n // pivot_j[j].
     """
-    zero = (0,) * m
-    gens = [tuple(v) for v in vectors]
-    if any(len(g) != m for g in gens):
-        raise DimensionMismatch("span generators have mixed lengths")
-    span = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for g in gens:
-                w = vec_add(v, g, n)
-                if w not in span:
-                    span.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return span
+    rows = [[x % n for x in v] for v in vectors]
+    size = 1
+    for j in range(m):
+        pivot = [n if k == j else 0 for k in range(m)]
+        for i, row in enumerate(rows):
+            while row[j]:
+                q = pivot[j] // row[j]
+                pivot, row = row, [(p - q * x) % n for p, x in zip(pivot, row)]
+            rows[i] = row
+        size *= n // pivot[j]
+    return size

@@ -1,6 +1,7 @@
 """Shared fixtures and independent oracles for the test suite."""
 
 import itertools
+import operator
 
 import pytest
 
@@ -9,15 +10,12 @@ from bilbiq import (
     AxiomViolation,
     FiniteBiquandle,
     LinkDiagram,
-    bilinear_eval,
     crossing_relations,
     enumerate_colorings,
     enumerate_module,
     inv_scalar,
     omega,
     parse_spec,
-    vec_add,
-    vec_scale,
 )
 
 
@@ -116,26 +114,48 @@ def reference_check_axioms(bq: FiniteBiquandle) -> AxiomReport:
     return AxiomReport((axiom1(), axiom2(), axiom3(), axiom4()))
 
 
+def reference_combination(coeffs, vectors, n):
+    """sum_i coeffs[i] * vectors[i] mod n, coordinate by coordinate."""
+    return tuple(sum(map(operator.mul, coeffs, column)) % n for column in zip(*vectors))
+
+
+def reference_form(A, x, y, n):
+    """The bilinear form x A y^t mod n, entry by entry."""
+    return sum(x[i] * A[i][j] * y[j] for i in range(len(x)) for j in range(len(y))) % n
+
+
+def reference_span_size(vectors, n, m):
+    """|Span| as the set of every Z_n-combination of the vectors, grown
+    one generator at a time.  Independent of span_size's elimination."""
+    span = {(0,) * m}
+    for v in vectors:
+        span = {reference_combination((1, c), (s, v), n) for s in span for c in range(n)}
+    return len(span)
+
+
 def reference_build_tables(n, m, alpha, beta, A, w=None) -> FiniteBiquandle:
     """The bilinear tables evaluated vector by vector from the defining
-    formulas, with the module helpers; oracle for the index-table build.
-    w defaults to omega(alpha, beta, n)."""
+    formulas, with the reference arithmetic above; oracle for the
+    index-table build.  w defaults to omega(alpha, beta, n)."""
     alpha_inv, beta_inv = inv_scalar(alpha, n), inv_scalar(beta, n)
     if w is None:
         w = omega(alpha, beta, n)
     carrier = enumerate_module(n, m)
     index = {v: i for i, v in enumerate(carrier)}
+
+    def element(coeffs, vectors):
+        return index[reference_combination(coeffs, vectors, n)]
+
     up, upbar = [], []
     for x in carrier:
-        ax, aix = vec_scale(alpha, x, n), vec_scale(alpha_inv, x, n)
         up.append([])
         upbar.append([])
         for y in carrier:
-            fxy = bilinear_eval(A, x, y, n)
-            up[-1].append(index[vec_add(ax, vec_scale(fxy, y, n), n)])
-            upbar[-1].append(index[vec_add(aix, vec_scale(w * fxy, y, n), n)])
-    low = [[index[vec_scale(beta, x, n)]] * len(carrier) for x in carrier]
-    lowbar = [[index[vec_scale(beta_inv, x, n)]] * len(carrier) for x in carrier]
+            fxy = reference_form(A, x, y, n)
+            up[-1].append(element((alpha, fxy), (x, y)))
+            upbar[-1].append(element((alpha_inv, w * fxy), (x, y)))
+    low = [[element((beta,), (x,))] * len(carrier) for x in carrier]
+    lowbar = [[element((beta_inv,), (x,))] * len(carrier) for x in carrier]
     return FiniteBiquandle(carrier, up, upbar, low, lowbar)
 
 
@@ -183,10 +203,10 @@ def reference_closure(target: FiniteBiquandle, seed) -> set:
 
 def reference_phi(diagram: LinkDiagram, spec) -> dict:
     """phi_BB's terms {(|Im|, |Span|): count}: per coloring the naive
-    closure of its colors, and their span as every Z_n-combination of
-    their vectors, cached per seed set only.  Independent of
-    subbiquandle_closure and submodule_span, and of the index-table
-    build."""
+    closure of its colors, and the size of their span as every
+    Z_n-combination of their vectors, cached per seed set only.
+    Independent of subbiquandle_closure and span_size, and of the
+    index-table build."""
     n, m = spec.n, spec.m
     target = reference_build_tables(n, m, spec.alpha, spec.beta, spec.matrix)
     terms, cache = {}, {}
@@ -194,10 +214,6 @@ def reference_phi(diagram: LinkDiagram, spec) -> dict:
         seed = frozenset(coloring)
         if seed not in cache:
             vectors = [target.carrier[i] for i in seed]
-            span = {
-                tuple(sum(c * v[k] for c, v in zip(coeffs, vectors)) % n for k in range(m))
-                for coeffs in itertools.product(range(n), repeat=len(vectors))
-            }
-            cache[seed] = (len(reference_closure(target, seed)), len(span))
+            cache[seed] = (len(reference_closure(target, seed)), reference_span_size(vectors, n, m))
         terms[cache[seed]] = terms.get(cache[seed], 0) + 1
     return terms

@@ -22,12 +22,10 @@ from bilbiq import (
     parse_spec,
     phi_bb,
     search,
-    vec_add,
-    vec_scale,
 )
 from bilbiq.cli import run
 
-from conftest import all_assignments_colorings, reference_build_tables
+from conftest import all_assignments_colorings, reference_build_tables, reference_combination
 
 BB1 = "4,2,3,3,[[0,2],[2,0]]"
 
@@ -233,9 +231,7 @@ def test_criterion_7_proposition_properties(capsys):
         carrier = target.carrier
         for i, a in enumerate(carrier):
             # up(a,a) = alpha a + f(a,a) a must equal alpha a + (b^-1 - alpha) a
-            expected = vec_add(
-                vec_scale(spec.alpha, a, n), vec_scale(diag, a, n), n
-            )
+            expected = reference_combination((spec.alpha, diag), (a, a), n)
             if carrier[target.up[i][i]] != expected:
                 ok = False
             # low(lowbar(a, b), c) = a for any b, c

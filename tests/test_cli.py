@@ -1,8 +1,13 @@
+import os
 import signal
+import subprocess
+import sys
 
 import pytest
 
 from bilbiq.cli import run
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 ALEXANDER_3_2_1_MATRIX = """\
 3
@@ -232,6 +237,21 @@ class TestTable:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error:")
+
+    def test_cardinality_past_bound(self):
+        # Listing the (n, m) pairs up to 10^18 alone would not finish, so
+        # the run is a separate process that a timeout can end.
+        proc = subprocess.run(
+            [sys.executable, "-m", "bilbiq.cli", "table", "--max-cardinality", str(10**18)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+            timeout=20,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error:")
 
     @pytest.mark.parametrize(
         "n, m", [("3", "4"), ("2", "5"), ("211", "1"), ("100000000", "1"), ("1000000000000", "2")]

@@ -1,17 +1,18 @@
 import itertools
+import random
 
 import pytest
 
 from bilbiq import (
     CapacityExceeded,
-    DimensionMismatch,
     NotInvertible,
-    bilinear_eval,
     enumerate_module,
     inv_scalar,
-    submodule_span,
     units,
 )
+from bilbiq.modular import span_size
+
+from conftest import reference_span_size
 
 
 class TestInvScalar:
@@ -43,31 +44,6 @@ class TestUnits:
         assert units(12) == sorted(units(12))
 
 
-class TestBilinearEval:
-    def test_examples(self):
-        A = ((0, 2), (2, 0))
-        assert bilinear_eval(A, (1, 0), (0, 1), 4) == 2
-        assert bilinear_eval(A, (1, 0), (1, 0), 4) == 0
-        assert bilinear_eval(((2, 1), (1, 2)), (1, 1), (1, 0), 4) == 3
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            bilinear_eval(((0, 2), (2, 0)), (1, 0, 0), (0, 1), 4)
-
-    def test_additive_in_each_argument(self):
-        n = 3
-        A = ((1, 2), (0, 1))
-        vecs = enumerate_module(n, 2)
-        for x, xp, y in itertools.product(vecs, repeat=3):
-            s = tuple((a + b) % n for a, b in zip(x, xp))
-            assert bilinear_eval(A, s, y, n) == (
-                bilinear_eval(A, x, y, n) + bilinear_eval(A, xp, y, n)
-            ) % n
-            assert bilinear_eval(A, y, s, n) == (
-                bilinear_eval(A, y, x, n) + bilinear_eval(A, y, xp, n)
-            ) % n
-
-
 class TestEnumerateModule:
     def test_small(self):
         assert enumerate_module(2, 2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -85,24 +61,36 @@ class TestEnumerateModule:
             enumerate_module(4, 2)
 
 
-class TestSubmoduleSpan:
+class TestSpanSize:
     def test_empty(self):
-        assert submodule_span([], 4, 2) == {(0, 0)}
+        assert span_size([], 4, 2) == 1
 
     def test_cyclic(self):
-        assert len(submodule_span([(1, 0)], 4, 2)) == 4
+        assert span_size([(1, 0)], 4, 2) == 4
 
     def test_two_generators(self):
-        assert submodule_span([(2, 0), (0, 2)], 4, 2) == {
-            (0, 0),
-            (2, 0),
-            (0, 2),
-            (2, 2),
-        }
+        assert span_size([(2, 0), (0, 2)], 4, 2) == 4
 
-    def test_idempotent_and_size_divides(self):
+    def test_size_divides(self):
         vecs = enumerate_module(4, 2)
         for gens in itertools.combinations(vecs, 2):
-            span = submodule_span(gens, 4, 2)
-            assert submodule_span(span, 4, 2) == span
-            assert 16 % len(span) == 0
+            size = span_size(gens, 4, 2)
+            assert 16 % size == 0
+            assert size == reference_span_size(gens, 4, 2)
+
+    @pytest.mark.parametrize(
+        "n, m", [(4, 2), (6, 2), (8, 2), (9, 2), (12, 2), (4, 3), (6, 3), (2, 5)]
+    )
+    def test_matches_reference(self, n, m):
+        # Seeded sets of 0-5 drawn generators; every third set also holds
+        # the zero vector and every fourth one generator twice.
+        rng = random.Random(100 * n + m)
+        vecs = enumerate_module(n, m)
+        for i in range(60):
+            gens = [rng.choice(vecs) for _ in range(rng.randrange(6))]
+            if i % 3 == 0:
+                gens.append((0,) * m)
+            if i % 4 == 0 and gens:
+                gens.append(rng.choice(gens))
+            rng.shuffle(gens)
+            assert span_size(gens, n, m) == reference_span_size(gens, n, m), gens
