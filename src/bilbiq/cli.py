@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 from . import bilinear, biquandle, gauss, invariant
@@ -80,17 +81,17 @@ def cmd_color(args) -> int:
     diagram = _load_diagram(args)
     spec = bilinear.parse_spec(args.spec)
     target = bilinear.build_bilinear(spec)
-    colorings = invariant.enumerate_colorings(diagram, target)
-    shown = colorings if args.limit is None else colorings[: args.limit]
-    for coloring in shown:
+    colorings = invariant._colorings(diagram, target)
+    for coloring in itertools.islice(colorings, args.limit):
         print(
             " ".join(
                 "(" + ",".join(str(c) for c in target.carrier[i]) + ")"
                 for i in coloring
             )
         )
-    if args.limit is not None and len(colorings) > args.limit:
-        print(f"... ({len(colorings) - args.limit} more)")
+    rest = sum(1 for _ in colorings)
+    if rest:
+        print(f"... ({rest} more)")
     return EXIT_OK
 
 

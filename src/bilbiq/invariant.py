@@ -21,11 +21,14 @@ from .gauss import LinkDiagram, crossing_relations
 from .modular import span_size
 
 
-def _inverse(values, size: int) -> list[list[int]]:
-    """inverse[z] lists, ascending, every i with values[i] == z."""
-    inverse: list[list[int]] = [[] for _ in range(size)]
-    for i, z in enumerate(values):
+def _inverse(line, size: int) -> list[list[int]]:
+    """inverse[z] lists, ascending, every i with line[i] == z; the extra
+    slot inverse[size] lists the fixed points, every i with line[i] == i."""
+    inverse: list[list[int]] = [[] for _ in range(size + 1)]
+    for i, z in enumerate(line):
         inverse[z].append(i)
+        if z == i:
+            inverse[size].append(i)
     return inverse
 
 
@@ -59,30 +62,22 @@ def _colorings(diagram: LinkDiagram, target: FiniteBiquandle):
                 if cx is not None and cy is not None:
                     pending.append((out, table[cx][cy]))
                     continue
-                if co is not None and cx is not None:
+                # parse_gauss ends each semiarc at one token, so x != y; an
+                # open input that is also the output (a kink) reads inverse[size].
+                if cx is not None and (co is not None or out == y):
                     # y alone is open
                     inverse = by_y.get(cx)
                     if inverse is None:
                         inverse = by_y[cx] = _inverse(table[cx], size)
-                    a, fits = y, inverse[co]
-                elif co is not None and cy is not None:
+                    a, fits = y, inverse[size if out == y else co]
+                elif cy is not None and (co is not None or out == x):
                     # x alone is open
                     inverse = by_x.get(cy)
                     if inverse is None:
                         inverse = by_x[cy] = _inverse([row[cy] for row in table], size)
-                    a, fits = x, inverse[co]
+                    a, fits = x, inverse[size if out == x else co]
                 else:
-                    open_arcs = {a for a in (x, y, out) if colors[a] is None}
-                    if len(open_arcs) > 1:
-                        continue
-                    # a kink: the one open semiarc stands for two of x, y, out
-                    (a,) = open_arcs
-                    fits = [
-                        v
-                        for v in range(size)
-                        if table[v if x == a else cx][v if y == a else cy]
-                        == (v if out == a else co)
-                    ]
+                    continue  # two open semiarcs
                 if not fits:
                     return False
                 if len(fits) == 1:
@@ -115,8 +110,8 @@ def enumerate_colorings(diagram: LinkDiagram, target: FiniteBiquandle) -> list[t
     values are one list lookup: the inverse of the relation's table
     column or row, built in one pass the first time the call needs it.
     The lists hold every solution, so targets whose rows and columns
-    are not bijections are enumerated exactly.  Only a kink, where one
-    semiarc fills two places of a relation, scans all values.
+    are not bijections are enumerated exactly.  A kink, whose open input
+    is also the output, reads the fixed points of that column or row.
     """
     return list(_colorings(diagram, target))
 

@@ -2,6 +2,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -203,6 +204,20 @@ class TestColor:
         lines = out.strip().split("\n")
         assert len(lines) == 4
         assert lines[-1] == "... (13 more)"
+
+    def test_limit_streams(self, capsys):
+        # three free components on 27 elements have 27^3 colorings, and
+        # showing one of them must not hold the rest
+        x27 = "3,3,2,2,[[0,0,0],[0,0,1],[0,2,0]]"
+        tracemalloc.start()
+        try:
+            code, out, _ = invoke(capsys, "color", "--gauss", ";;", "--spec", x27, "--limit", "1")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert out.split("\n")[1:] == ["... (19682 more)", ""]
+        assert peak < 0.5 * 2**20
 
     def test_bad_gauss(self, capsys):
         code, _, err = invoke(capsys, "color", "--gauss", "bad", "--spec", self.BB1)

@@ -119,11 +119,15 @@ class TestEnumerateColorings:
         # one-open lookups must return every fitting value.  None of these
         # targets is a biquandle: the three 16-element invalid shapes
         # (constant up among them), a spec failing axiom 3, and random
-        # 3-4 element tables.  The kinks run the scan instead.
+        # 3-4 element tables.  A kink reads the fixed points of a line,
+        # which may also be none or several: "O1+U1+" and "O1-U1-" fix a
+        # row (output = y), the one-token components "O1+;U1+" and
+        # "U1-;O1-" a column (output = x).
         rng = random.Random(20261018)
         targets = [*invalid_shapes(), build_bilinear(parse_spec("4,2,1,1,[[0,1],[1,0]]"))]
         targets += [random_tables(rng, rng.randint(3, 4)) for _ in range(12)]
-        codes = ["O1+U1+", "O1-U1-", "O1+U2+;O2+U1+", "O1+U2-U1+O2-", BUILTIN_CODES["trefoil"]]
+        codes = ["O1+U1+", "O1-U1-", "O1+;U1+", "U1-;O1-", "O1+U2+;O2+U1+", "O1+U2-U1+O2-"]
+        codes.append(BUILTIN_CODES["trefoil"])
         for target in targets:
             for code in codes:
                 diagram = parse_gauss(code)
