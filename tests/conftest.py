@@ -39,10 +39,43 @@ def all_assignments_colorings(diagram: LinkDiagram, target: FiniteBiquandle):
     return out
 
 
+def reference_axiom3(bq: FiniteBiquandle, firsts):
+    """Axiom 3 as a plain triple loop over a in firsts, in the order
+    given, then b and c, with the six identities in order at each
+    (a, b, c); the first failure is the witness."""
+    up, upbar, low, lowbar = bq.up, bq.upbar, bq.low, bq.lowbar
+    rng = range(bq.size)
+    for a in firsts:
+        for b in rng:
+            for c in rng:
+                if up[up[a][b]][c] != up[up[a][low[c][b]]][up[b][c]]:
+                    return AxiomViolation(3, "a^{bc} = a^{c_b b^c}", (a, b, c))
+                if low[low[c][b]][a] != low[low[c][low[a][b]]][low[b][a]]:
+                    return AxiomViolation(3, "c_{ba} = c_{a_b b_a}", (a, b, c))
+                if up[low[b][a]][low[c][up[a][b]]] != low[up[b][c]][up[a][low[c][b]]]:
+                    return AxiomViolation(3, "(b_a)^{c_{a^b}} = (b^c)_{a^{c_b}}", (a, b, c))
+                if upbar[upbar[a][b]][c] != upbar[upbar[a][lowbar[c][b]]][upbar[b][c]]:
+                    return AxiomViolation(
+                        3, "a^{bar(b)bar(c)} = a^{bar(c_bar(b)) bar(b^bar(c))}", (a, b, c)
+                    )
+                if lowbar[lowbar[c][b]][a] != lowbar[lowbar[c][lowbar[a][b]]][lowbar[b][a]]:
+                    return AxiomViolation(
+                        3, "c_{bar(b)bar(a)} = c_{bar(a_bar(b)) bar(b_bar(a))}", (a, b, c)
+                    )
+                if (
+                    upbar[lowbar[b][a]][lowbar[c][upbar[a][b]]]
+                    != lowbar[upbar[b][c]][upbar[a][lowbar[c][b]]]
+                ):
+                    return AxiomViolation(
+                        3, "(b_bar(a))^bar(c_...) = (b^bar(c))_bar(a^...)", (a, b, c)
+                    )
+    return None
+
+
 def reference_check_axioms(bq: FiniteBiquandle) -> AxiomReport:
     """Exhaustive axiom oracle: every (a, b, c) in order, one plain
     triple loop per axiom, the first failure as witness.  Independent of
-    the preimage and column tricks in check_axioms."""
+    the byte maps and the column tricks in check_axioms."""
     up, upbar, low, lowbar = bq.up, bq.upbar, bq.low, bq.lowbar
     rng = range(bq.size)
 
@@ -76,33 +109,6 @@ def reference_check_axioms(bq: FiniteBiquandle) -> AxiomReport:
                     return AxiomViolation(2, "no y: y=a^bar(b_y), a=y^b, b=b_{y bar(a)}", (a, b))
         return None
 
-    def axiom3():
-        for a in rng:
-            for b in rng:
-                for c in rng:
-                    if up[up[a][b]][c] != up[up[a][low[c][b]]][up[b][c]]:
-                        return AxiomViolation(3, "a^{bc} = a^{c_b b^c}", (a, b, c))
-                    if low[low[c][b]][a] != low[low[c][low[a][b]]][low[b][a]]:
-                        return AxiomViolation(3, "c_{ba} = c_{a_b b_a}", (a, b, c))
-                    if up[low[b][a]][low[c][up[a][b]]] != low[up[b][c]][up[a][low[c][b]]]:
-                        return AxiomViolation(3, "(b_a)^{c_{a^b}} = (b^c)_{a^{c_b}}", (a, b, c))
-                    if upbar[upbar[a][b]][c] != upbar[upbar[a][lowbar[c][b]]][upbar[b][c]]:
-                        return AxiomViolation(
-                            3, "a^{bar(b)bar(c)} = a^{bar(c_bar(b)) bar(b^bar(c))}", (a, b, c)
-                        )
-                    if lowbar[lowbar[c][b]][a] != lowbar[lowbar[c][lowbar[a][b]]][lowbar[b][a]]:
-                        return AxiomViolation(
-                            3, "c_{bar(b)bar(a)} = c_{bar(a_bar(b)) bar(b_bar(a))}", (a, b, c)
-                        )
-                    if (
-                        upbar[lowbar[b][a]][lowbar[c][upbar[a][b]]]
-                        != lowbar[upbar[b][c]][upbar[a][lowbar[c][b]]]
-                    ):
-                        return AxiomViolation(
-                            3, "(b_bar(a))^bar(c_...) = (b^bar(c))_bar(a^...)", (a, b, c)
-                        )
-        return None
-
     def axiom4():
         for a in rng:
             if not any(low[a][x] == x and up[x][a] == a for x in rng):
@@ -111,7 +117,7 @@ def reference_check_axioms(bq: FiniteBiquandle) -> AxiomReport:
                 return AxiomViolation(4, "no y: y=a^bar(y), a=y_bar(a)", (a,))
         return None
 
-    return AxiomReport((axiom1(), axiom2(), axiom3(), axiom4()))
+    return AxiomReport((axiom1(), axiom2(), reference_axiom3(bq, rng), axiom4()))
 
 
 def reference_combination(coeffs, vectors, n):
