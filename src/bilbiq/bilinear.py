@@ -246,7 +246,7 @@ def parse_spec(text: str) -> BilinearSpec:
         isinstance(A, list)
         and len(A) == m
         and all(isinstance(r, list) and len(r) == m for r in A)
-        and all(isinstance(e, int) for r in A for e in r)
+        and all(type(e) is int for r in A for e in r)  # not bool, a subclass of int
     ):
         raise ParseError(f"matrix in {text!r} is not {m}x{m} integer rows")
     if n < 2 or m < 1:

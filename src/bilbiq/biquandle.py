@@ -30,8 +30,30 @@ from .modular import carrier_bound, enumerate_module, inv_scalar, reduce_matrix
 Table = tuple[tuple[int, ...], ...]
 
 
+_BYTE_LIMIT = 256  # the largest carrier whose elements fit in a byte
+
+
 def _freeze_table(table, size: int, name: str) -> Table:
-    rows = tuple(tuple(map(int, row)) for row in table)
+    """The table as `size` tuples of `size` int entries in [0, size).
+
+    Up to _BYTE_LIMIT elements, a table of int rows is checked in two C
+    passes: bytes() of its entries refuses any entry that is not an
+    index or is outside 0..255, and deleting the bytes 0..size-1 must
+    leave nothing.  The int rows are then rebuilt from the bytes.  Any
+    table these passes refuse, and every larger table, takes the
+    per-entry path: int() of each entry, then ShapeError, or
+    IndexOutOfRange naming the first bad entry in row order.
+    """
+    rows = list(table)
+    if size <= _BYTE_LIMIT and len(rows) == size:
+        try:
+            data = bytes(chain.from_iterable(rows)) if set(map(len, rows)) == {size} else None
+        except (TypeError, ValueError):  # a row without len, an entry not an index or not a byte
+            data = None
+        if data is not None and not data.translate(None, bytes(range(size))):
+            starts, ends = range(0, size * size, size), range(size, size * size + 1, size)
+            return tuple(map(tuple, map(data.__getitem__, map(slice, starts, ends))))
+    rows = tuple(tuple(map(int, row)) for row in rows)
     if len(rows) != size or set(map(len, rows)) != {size}:
         raise ShapeError(f"{name} table is not {size}x{size}")
     if min(map(min, rows)) < 0 or max(map(max, rows)) >= size:
@@ -43,10 +65,12 @@ def _freeze_table(table, size: int, name: str) -> Table:
 class FiniteBiquandle:
     """A finite biquandle over an ordered carrier.
 
-    Construction performs shape and range validation only; axiom
-    checking is a separate operation (`check_axioms`) so searches can
-    build candidates cheaply.  Equality compares the operation tables,
-    not the carrier labels.
+    Construction checks every entry of the four tables for shape, int()
+    value and range (see `_freeze_table`: in C passes up to 256
+    elements, entry by entry above or on any fault) and stores them as
+    tuples of int tuples.  Axiom checking is a separate operation
+    (`check_axioms`) so searches can build candidates cheaply.
+    Equality compares the operation tables, not the carrier labels.
     """
 
     __slots__ = ("carrier", "up", "upbar", "low", "lowbar")
@@ -164,7 +188,6 @@ _AXIOM3_EQUATIONS = (
 )
 
 
-_BYTE_LIMIT = 256  # the largest carrier whose elements fit in a byte
 _BLOCK = 1 << 16  # elements per side in one block of b values
 
 
@@ -309,15 +332,20 @@ def alexander_biquandle(n: int, s: int, t: int) -> FiniteBiquandle:
     s_inv = inv_scalar(s, n)
     t_inv = inv_scalar(t, n)
     carrier = [k % n for k in range(1, n + 1)]
-    index = {v: i for i, v in enumerate(carrier)}
-    up = [[index[(t * a + (1 - s * t) * b) % n] for b in carrier] for a in carrier]
-    upbar = [
-        [index[(t_inv * a + (1 - s_inv * t_inv) * b) % n] for b in carrier]
-        for a in carrier
-    ]
-    low = [[index[(s * a) % n] for _ in carrier] for a in carrier]
-    lowbar = [[index[(s_inv * a) % n] for _ in carrier] for a in carrier]
-    return FiniteBiquandle(carrier, up, upbar, low, lowbar)
+    # The index of v is (v - 1) mod n.  With b = j + 1 at column j, row a
+    # of a^b = pa + qb holds the steps qj mod n shifted by pa + q - 1.
+    wrap = [*range(n), *range(n)]  # wrap[r:][x] = (r + x) mod n for r, x < n
+
+    def upper(p, q):
+        steps = [q * j % n for j in range(n)]
+        return [list(map(wrap[(p * a + q - 1) % n :].__getitem__, steps)) for a in carrier]
+
+    def lower(p):
+        return [[(p * a - 1) % n] * n for a in carrier]
+
+    return FiniteBiquandle(
+        carrier, upper(t, 1 - s * t), upper(t_inv, 1 - s_inv * t_inv), lower(s), lower(s_inv)
+    )
 
 
 def symplectic_quandle(n: int, m: int, A) -> FiniteBiquandle:
@@ -404,8 +432,30 @@ def block_matrix_encode(bq: FiniteBiquandle) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_row(ln: str, size: int) -> list[int]:
+    """One matrix row's tokens as int() reads them, checked and shifted
+    to 0-indexed; each fault raises its ParseError."""
+    try:
+        row = list(map(int, ln.split()))
+    except ValueError as exc:
+        raise ParseError(f"non-integer entry in {ln!r}") from exc
+    if len(row) != 2 * size:
+        raise ParseError(f"row {ln!r} has {len(row)} entries, expected {2 * size}")
+    if min(row) < 1 or max(row) > size:
+        raise ParseError(f"entry outside [1, {size}] in {ln!r}")
+    return list(map(sub, row, repeat(1)))
+
+
 def block_matrix_decode(text: str) -> FiniteBiquandle:
-    """Inverse of block_matrix_encode; carrier becomes 0..N-1."""
+    """Inverse of block_matrix_encode; carrier becomes 0..N-1.
+
+    Each row's tokens go through one lookup {"1": 0, ..., "N": N-1},
+    which parses, shifts and range-checks them in one C pass.  A row the
+    lookup refuses (a token such as "01", "+1" or "x", an entry outside
+    [1, N], or a wrong entry count) is parsed again token by token with
+    int(), which accepts what int() accepts and raises the row's
+    ParseError.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError("empty matrix text")
@@ -415,17 +465,16 @@ def block_matrix_decode(text: str) -> FiniteBiquandle:
         raise ParseError(f"bad size line {lines[0]!r}") from exc
     if size < 1 or len(lines) != 1 + 2 * size:
         raise ParseError(f"expected {2 * size} matrix rows, got {len(lines) - 1}")
+    labels = {str(k + 1): k for k in range(size)}
     rows = []
     for ln in lines[1:]:
         try:
-            row = list(map(int, ln.split()))
-        except ValueError as exc:
-            raise ParseError(f"non-integer entry in {ln!r}") from exc
-        if len(row) != 2 * size:
-            raise ParseError(f"row {ln!r} has {len(row)} entries, expected {2 * size}")
-        if min(row) < 1 or max(row) > size:
-            raise ParseError(f"entry outside [1, {size}] in {ln!r}")
-        rows.append(list(map(sub, row, repeat(1))))
+            row = list(map(labels.__getitem__, ln.split()))
+        except KeyError:  # a token that is not a label 1..N as encode writes it
+            row = None
+        if row is None or len(row) != 2 * size:
+            row = _parse_row(ln, size)
+        rows.append(row)
     upbar = [rows[i][:size] for i in range(size)]
     up = [rows[i][size:] for i in range(size)]
     lowbar = [rows[size + i][:size] for i in range(size)]

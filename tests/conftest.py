@@ -165,6 +165,25 @@ def reference_build_tables(n, m, alpha, beta, A, w=None) -> FiniteBiquandle:
     return FiniteBiquandle(carrier, up, upbar, low, lowbar)
 
 
+def reference_alexander(n, s, t) -> FiniteBiquandle:
+    """The Alexander tables a^b = ta + (1-st)b, a_b = sa evaluated entry
+    by entry on the carrier 1, ..., n-1, 0; oracle for the row build."""
+    s_inv, t_inv = pow(s, -1, n), pow(t, -1, n)
+    carrier = [k % n for k in range(1, n + 1)]
+    index = {v: i for i, v in enumerate(carrier)}
+
+    def table(op):
+        return [[index[op(a, b) % n] for b in carrier] for a in carrier]
+
+    return FiniteBiquandle(
+        carrier,
+        table(lambda a, b: t * a + (1 - s * t) * b),
+        table(lambda a, b: t_inv * a + (1 - s_inv * t_inv) * b),
+        table(lambda a, b: s * a),
+        table(lambda a, b: s_inv * a),
+    )
+
+
 def random_tables(rng, size):
     """Four size x size tables: permutation rows, arbitrary rows or one
     constant, the kind drawn per table."""

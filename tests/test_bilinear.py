@@ -285,6 +285,8 @@ class TestSpecText:
             "4,2,3,3,[[0,2]]",
             "4,2,3,3,[[0,2],[2,0]",
             "1,2,1,1,[[0,0],[0,0]]",
+            "3,2,2,2,[[0,True],[2,0]]",
+            "3,2,2,2,[[0,1],[False,0]]",
         ],
     )
     def test_parse_errors(self, bad):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from bilbiq import (
     NotAntisymmetric,
     NotInvertible,
     ParseError,
+    ShapeError,
     alexander_biquandle,
     block_matrix_decode,
     block_matrix_encode,
@@ -27,6 +29,7 @@ from bilbiq.biquandle import _axiom3, _build_tables
 from conftest import (
     invalid_shapes,
     random_tables,
+    reference_alexander,
     reference_axiom3,
     reference_build_tables,
     reference_check_axioms,
@@ -47,15 +50,96 @@ def trivial_one_element():
     return FiniteBiquandle([0], [[0]], [[0]], [[0]], [[0]])
 
 
+def assert_int_tables(bq):
+    for table in (bq.up, bq.upbar, bq.low, bq.lowbar):
+        assert type(table) is tuple and all(type(row) is tuple for row in table)
+        assert all(type(e) is int for row in table for e in row)
+
+
+def freeze_outcome(table, size):
+    """_freeze_table's rows, or the type and message of what it raised."""
+    try:
+        return biquandle._freeze_table(table, size, "up")
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 class TestMakeBiquandle:
     def test_one_element(self):
         assert trivial_one_element().size == 1
 
     def test_entry_out_of_range(self):
+        """The error names the first bad entry in row order, below 0, at
+        the size, above it or past a byte."""
         good = [[0] * 3 for _ in range(3)]
-        bad = [[0, 0, 0], [0, 5, 0], [0, 0, 0]]
-        with pytest.raises(IndexOutOfRange):
-            FiniteBiquandle(range(3), bad, good, good, good)
+        for bad in (5, -1, 3, 256):
+            low = [[0, 1, 2], [2, bad, 7], [9, 0, 0]]
+            with pytest.raises(IndexOutOfRange, match=rf"^low entry {bad} outside \[0, 3\)$"):
+                FiniteBiquandle(range(3), good, good, low, good)
+
+    def test_entries_read_by_int(self):
+        """Bools, numeric strings and floats become what int() makes of them."""
+        bq = FiniteBiquandle(
+            range(2),
+            [[True, False], [False, True]],
+            [["1", "0"], [" 0", "+1"]],
+            [[0.0, 1.9], [1.0, 0.5]],
+            [(0, 1), range(2)],
+        )
+        assert (bq.up, bq.upbar, bq.low, bq.lowbar) == (
+            ((1, 0), (0, 1)),
+            ((1, 0), (0, 1)),
+            ((0, 1), (1, 0)),
+            ((0, 1), (0, 1)),
+        )
+        assert_int_tables(bq)
+
+    @pytest.mark.parametrize(
+        "upbar", [[[0, 0, 0], [0, 0], [0, 0, 0]], [[0, 0, 0]] * 2, [[0, 0, 0]] * 4]
+    )
+    def test_wrong_shape(self, upbar):
+        good = [[0] * 3 for _ in range(3)]
+        with pytest.raises(ShapeError, match=r"^upbar table is not 3x3$"):
+            FiniteBiquandle(range(3), good, upbar, good, good)
+
+    def test_above_byte_limit(self):
+        """257 elements: every entry is read by int()."""
+        bq = alexander_biquandle(257, 3, 5)
+        reference = reference_alexander(257, 3, 5)
+        assert bq == reference and bq.carrier == reference.carrier
+        assert_int_tables(bq)
+
+    def test_byte_passes_match_int_path(self, monkeypatch):
+        """Seeded tables, good and bad, give the same rows or the same
+        error with the byte passes as with every table read by int()."""
+        rng = random.Random(20261019)
+        cases = []
+        for _ in range(400):
+            size = rng.randint(1, 5)
+            entries = [*range(-1, size + 1), 255, 256, True, False, "1", 1.0, None]
+            weights = [8] * (size + 2) + [1] * 7
+            rows = [
+                rng.choices(entries, weights, k=size + (rng.random() < 0.05))
+                for _ in range(size + (rng.random() < 0.05))
+            ]
+            cases.append((rows, size))
+        byte_passes = [freeze_outcome(rows, size) for rows, size in cases]
+        monkeypatch.setattr(biquandle, "_BYTE_LIMIT", 0)
+        assert byte_passes == [freeze_outcome(rows, size) for rows, size in cases]
+        assert sum(type(r) is tuple for r in byte_passes) > 50
+
+    def test_every_builder_stores_ints(self, bb1_spec):
+        decoded = block_matrix_decode(ALEXANDER_3_2_1_MATRIX.replace("3 2 1", "03 2 1", 1))
+        for bq in (
+            alexander_biquandle(7, 3, 5),
+            symplectic_quandle(3, 2, [[0, 1], [2, 0]]),
+            build_bilinear(bb1_spec),
+            build_bilinear(parse_spec("17,2,1,1,[[0,1],[16,0]]")),
+            block_matrix_decode(ALEXANDER_3_2_1_MATRIX),
+            decoded,
+            trivial_one_element(),
+        ):
+            assert_int_tables(bq)
 
 
 class TestCheckAxioms:
@@ -217,6 +301,13 @@ class TestAlexander:
         with pytest.raises(NotInvertible):
             alexander_biquandle(4, 2, 1)
 
+    def test_matches_reference(self):
+        for n in range(1, 13):
+            for s, t in itertools.product(units(n) if n > 1 else [1], repeat=2):
+                for s_, t_ in ((s, t), (s - n, t + 2 * n)):
+                    bq, reference = alexander_biquandle(n, s_, t_), reference_alexander(n, s_, t_)
+                    assert bq == reference and bq.carrier == reference.carrier, (n, s_, t_)
+
     @pytest.mark.parametrize("n", range(2, 8))
     def test_axioms_for_all_units(self, n):
         for s in units(n):
@@ -310,3 +401,31 @@ class TestBlockMatrix:
     def test_non_integer(self):
         with pytest.raises(ParseError):
             block_matrix_decode("1\n1 x\n1 1\n")
+
+    def test_tokens_read_by_int(self):
+        """Tokens that are not written as encode writes them, but that
+        int() reads as labels, decode as those labels."""
+        for text in (
+            ALEXANDER_3_2_1_MATRIX.replace("3 2 1 3 2 1", "03 2 1 3 2 01", 1),
+            ALEXANDER_3_2_1_MATRIX.replace("1 3 2 1 3 2", "+1 3 2 1 3 +2", 1),
+            ALEXANDER_3_2_1_MATRIX.replace(" ", "\t"),
+        ):
+            assert text != ALEXANDER_3_2_1_MATRIX
+            assert block_matrix_decode(text) == alexander_biquandle(3, 2, 1)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1 2 1", "row '1 2 1' has 3 entries, expected 4"),
+            ("1 2 1 2 1", "row '1 2 1 2 1' has 5 entries, expected 4"),
+            ("1 2 1 x", "non-integer entry in '1 2 1 x'"),
+            ("1 2 x", "non-integer entry in '1 2 x'"),
+            ("1 2 1 3", "entry outside [1, 2] in '1 2 1 3'"),
+            ("1 2 01 0", "entry outside [1, 2] in '1 2 01 0'"),
+            ("1 2 3", "row '1 2 3' has 3 entries, expected 4"),
+        ],
+    )
+    def test_row_errors(self, row, message):
+        text = f"2\n1 1 1 1\n{row}\n1 1 1 1\n1 1 1 1\n"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            block_matrix_decode(text)

@@ -322,8 +322,9 @@ class TestUsageErrors:
                 ["color", "--link", "trefoil", "--spec", "3,2,2,2,[[0,0],[0,0]]", "--limit", "-1"],
             ),
             ({}, ["matrix", "--alexander", "0,1,1"]),
+            ({}, ["verify", "--spec", "3,2,2,2,[[0,True],[2,0]]"]),
         ],
-        ids=["n-1", "m-0", "bound-abc", "bound-0", "limit-negative", "alexander-n-0"],
+        ids=["n-1", "m-0", "bound-abc", "bound-0", "limit-negative", "alexander-n-0", "spec-bool"],
     )
     def test_one_error_line(self, capsys, monkeypatch, env, argv):
         for key, value in env.items():
