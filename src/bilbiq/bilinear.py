@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import ast
 import itertools
-import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .biquandle import FiniteBiquandle, _axiom3, _build_tables, omega
+from .biquandle import FiniteBiquandle, _axiom3, _bilinear_axiom4, _build_tables, omega
 from .errors import CapacityExceeded, DimensionMismatch, InvariantViolation, ParseError
-from .modular import Matrix, carrier_bound, enumerate_module, inv_scalar, reduce_matrix, units
+from .modular import Matrix, carrier_bound, check_module, inv_scalar, reduce_matrix, units
 
 
 @dataclass(frozen=True)
@@ -77,53 +76,41 @@ def build_bilinear(spec: BilinearSpec) -> FiniteBiquandle:
     return _build_tables(spec.n, spec.m, spec.alpha, spec.beta, spec.matrix)
 
 
-def _axiom4_holds(n: int, m: int, alpha: int, beta: int, A) -> bool:
-    """Axiom 4 of (alpha, beta, A) in closed form; it implies axioms 1 and 2.
-    D = beta^-1 - alpha, and a scalar k kills b iff n | k gcd(n, entries of b).
-
-    Axiom 4's witnesses are forced to x = y = beta b, leaving two scalar
-    conditions on each b.  The first over beta is (f(b,b) - D) b = 0.  At
-    b = e_1 and 2 e_1 it gives A_11 = D and 3 gcd(n, 2) D = 0, so n divides
-    (beta^2 - 1) D: beta^2 = 1 mod 3, and mod 8 if beta is odd.  Given the
-    first, the second times the unit alpha^2 beta is (beta^2 - 1) beta^2 D^2 b = 0.
-    Axiom 1: x_y ignores y, so equations 2 and 4 hold.  Equation 1 reads
-    f(a,b) c b = 0, c = alpha^-1 + w beta^2 (alpha + f(b,b)), and c b is a
-    unit times (beta^2 - 1) D b = 0.  It makes upbar(., beta b) a left inverse
-    of up(., b), two-sided on a finite carrier, which is equation 3.
-    Axiom 2: low, lowbar ignore their second argument, so each third
-    equation holds; x -> x^bbar and y -> y^b are bijective by equations 3
-    and 1 of axiom 1, and their inverses give the witnesses.
-    """
-    D = inv_scalar(beta, n) - alpha
-    for b in enumerate_module(n, m):
-        f = sum(x * sum(r * y for r, y in zip(row, b)) for x, row in zip(b, A))  # f(b, b)
-        if (f - D) * math.gcd(n, *b) % n:
-            return False
-    return True
-
-
 def valid_tables(n: int, m: int, alpha: int, beta: int, A) -> FiniteBiquandle | None:
     """The tables of (alpha, beta, A) if they satisfy the four axioms,
     else None.
 
-    Axiom 4, which implies axioms 1 and 2, is decided in closed form and
-    only its survivors are built.  Their axiom 3 is checked with a only
-    in {e_1, ..., e_m}: identities 1 and 4 are linear in a, 3 and 6 do
-    not involve a, and 2 and 5 read beta^(+-2) c on both sides.
+    (Z_n)^m is checked against the carrier bound first (check_module), so
+    a spec past it raises CapacityExceeded whatever its form.  Axiom 4,
+    which implies axioms 1 and 2, is then decided by `_bilinear_axiom4`
+    from the diagonal and symmetric part of A and (n, m, D), and only its
+    survivors are built.  Their axiom 3 is checked with a only in
+    {e_1, ..., e_m}: identities 1 and 4 are linear in a, 3 and 6 do not
+    involve a, and 2 and 5 read beta^(+-2) c on both sides.
     """
-    if not _axiom4_holds(n, m, alpha, beta, A):
+    check_module(n, m)
+    if not _bilinear_axiom4(n, m, alpha, beta, A):
         return None
     bq = _build_tables(n, m, alpha, beta, A)
     basis = [n ** (m - 1 - i) for i in range(m)]  # carrier indices of e_1, ..., e_m
     return bq if _axiom3(bq, basis) is None else None
 
 
+def checked_tables(spec: BilinearSpec) -> FiniteBiquandle:
+    """The tables of a spec that is a biquandle: validate(), then the
+    carrier bound and the axioms in valid_tables, else InvariantViolation
+    naming the spec."""
+    spec.validate()
+    bq = valid_tables(spec.n, spec.m, spec.alpha, spec.beta, spec.matrix)
+    if bq is None:
+        raise InvariantViolation(f"spec {format_spec(spec)} does not satisfy the biquandle axioms")
+    return bq
+
+
 def is_symplectic(spec: BilinearSpec) -> bool:
-    """alpha = beta = 1 with antisymmetric A."""
-    if spec.alpha != 1 or spec.beta != 1:
-        return False
-    A, n, m = spec.matrix, spec.n, spec.m
-    return all((A[i][j] + A[j][i]) % n == 0 for i in range(m) for j in range(m))
+    """alpha = beta = 1 with a form that symplectic_quandle takes: a zero
+    diagonal and A^t = -A, the bilinear axiom-4 rule at D = 0."""
+    return spec.alpha == spec.beta == 1 and _bilinear_axiom4(spec.n, spec.m, 1, 1, spec.matrix)
 
 
 def _congruence_class(A: tuple[int, ...], n: int, m: int) -> set[tuple[int, ...]]:

@@ -79,8 +79,7 @@ def cmd_color(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise ParseError(f"--limit must be >= 0, got {args.limit}")
     diagram = _load_diagram(args)
-    spec = bilinear.parse_spec(args.spec)
-    target = bilinear.build_bilinear(spec)
+    target = bilinear.checked_tables(bilinear.parse_spec(args.spec))
     colorings = invariant._colorings(diagram, target)
     for coloring in itertools.islice(colorings, args.limit):
         print(

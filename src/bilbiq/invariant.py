@@ -14,9 +14,8 @@ the sub-biquandle they generate.
 
 from __future__ import annotations
 
-from .bilinear import BilinearSpec, valid_tables
+from .bilinear import BilinearSpec, checked_tables
 from .biquandle import FiniteBiquandle
-from .errors import InvariantViolation
 from .gauss import LinkDiagram, crossing_relations
 from .modular import span_size
 
@@ -194,10 +193,7 @@ def phi_bb(diagram: LinkDiagram, spec: BilinearSpec) -> BBPolynomial:
     image: seeds with one image share one span count.  The memos live
     for the call only.
     """
-    spec.validate()
-    target = valid_tables(spec.n, spec.m, spec.alpha, spec.beta, spec.matrix)
-    if target is None:
-        raise InvariantViolation(f"spec {spec} does not satisfy the biquandle axioms")
+    target = checked_tables(spec)
     terms: dict[tuple[int, int], int] = {}
     by_seed: dict[frozenset[int], tuple[int, int]] = {}
     by_image: dict[frozenset[int], tuple[int, int]] = {}

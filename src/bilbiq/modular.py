@@ -55,17 +55,24 @@ def reduce_matrix(entries, n: int) -> Matrix:
     return rows
 
 
-def enumerate_module(n: int, m: int) -> list[Vector]:
-    """All n^m vectors of (Z_n)^m in lexicographic order, zero first.
-
-    The order is fixed so element indices in operation tables are
-    reproducible across runs.
-    """
+def check_module(n: int, m: int) -> None:
+    """DimensionMismatch unless n >= 2 and m >= 1; CapacityExceeded if
+    (Z_n)^m has more than carrier_bound() elements."""
     if n < 2 or m < 1:
         raise DimensionMismatch(f"need n >= 2 and m >= 1, got ({n}, {m})")
     size = n**m
     if size > carrier_bound():
         raise CapacityExceeded(f"{n}^{m} = {size} exceeds bound {carrier_bound()}")
+
+
+def enumerate_module(n: int, m: int) -> list[Vector]:
+    """All n^m vectors of (Z_n)^m in lexicographic order, zero first,
+    checked by check_module first.
+
+    The order is fixed so element indices in operation tables are
+    reproducible across runs.
+    """
+    check_module(n, m)
     return list(itertools.product(range(n), repeat=m))
 
 

@@ -1,6 +1,7 @@
 """Shared fixtures and independent oracles for the test suite."""
 
 import itertools
+import math
 import operator
 
 import pytest
@@ -128,6 +129,18 @@ def reference_combination(coeffs, vectors, n):
 def reference_form(A, x, y, n):
     """The bilinear form x A y^t mod n, entry by entry."""
     return sum(x[i] * A[i][j] * y[j] for i in range(len(x)) for j in range(len(y))) % n
+
+
+def reference_axiom4(n, m, alpha, beta, A) -> bool:
+    """Axiom 4 of the bilinear structure (alpha, beta, A) by its
+    per-vector condition: (f(b,b) - D) gcd(n, b) = 0 for every b in
+    (Z_n)^m, with D = beta^-1 - alpha.  Walks all n^m vectors; the
+    reference for the closed-form rule."""
+    D = inv_scalar(beta, n) - alpha
+    return all(
+        (reference_form(A, b, b, n) - D) * math.gcd(n, *b) % n == 0
+        for b in itertools.product(range(n), repeat=m)
+    )
 
 
 def reference_span_size(vectors, n, m):

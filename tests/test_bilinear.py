@@ -19,8 +19,10 @@ from bilbiq import (
     units,
 )
 from bilbiq import bilinear
-from bilbiq.bilinear import _axiom4_holds, _congruence_class, valid_tables
-from bilbiq.biquandle import _build_tables
+from bilbiq.bilinear import _congruence_class, valid_tables
+from bilbiq.biquandle import _bilinear_axiom4, _build_tables
+
+from conftest import reference_axiom4
 
 ZERO2 = ((0, 0), (0, 0))
 ZERO3 = ((0, 0, 0), (0, 0, 0), (0, 0, 0))
@@ -173,14 +175,14 @@ def brute_force_forms(n, m):
 
 
 class TestValidTables:
-    """The verdict, and its closed form for axiom 4, against the
-    exhaustive check of the built tables.  Wherever the closed form
-    holds, axioms 1 and 2 must hold too."""
+    """The verdict, and the closed-form rule for axiom 4, against the
+    exhaustive check of the built tables.  Wherever the rule holds,
+    axioms 1 and 2 must hold too."""
 
     @staticmethod
     def agrees(n, m, alpha, beta, A):
         report = check_axioms(_build_tables(n, m, alpha, beta, A))
-        closed_form = _axiom4_holds(n, m, alpha, beta, A)
+        closed_form = _bilinear_axiom4(n, m, alpha, beta, A)
         verdict = valid_tables(n, m, alpha, beta, A) is not None
         implied = report.axiom_passes(1) and report.axiom_passes(2) or not closed_form
         return (closed_form, verdict, implied) == (report.axiom_passes(4), report.all_pass, True)
@@ -218,6 +220,58 @@ class TestValidTables:
     def test_returns_the_tables(self, bb1_spec):
         s = bb1_spec
         assert valid_tables(s.n, s.m, s.alpha, s.beta, s.matrix) == build_bilinear(s)
+
+
+class TestAxiom4Rule:
+    """The closed-form rule against the per-vector condition it is
+    proved from, on shapes where building and checking every table
+    would take too long."""
+
+    @staticmethod
+    def forms(rng, n, m, count):
+        """count seeded unit pairs, each with four forms: the forced
+        diagonal D = beta^-1 - alpha or a random one, and random entries
+        off it or A_ji = -D - A_ij, which leaves condition 3 to decide."""
+        us = units(n)
+        for _ in range(count):
+            alpha, beta = rng.choice(us), rng.choice(us)
+            D = (pow(beta, -1, n) - alpha) % n
+            for forced, paired in itertools.product((True, False), repeat=2):
+                A = [[rng.randrange(n) for _ in range(m)] for _ in range(m)]
+                for i in range(m):
+                    A[i][i] = D if forced else A[i][i]
+                    for j in range(i) if paired else ():
+                        A[i][j] = (-D - A[j][i]) % n
+                yield alpha, beta, tuple(map(tuple, A))
+
+    @pytest.mark.parametrize("nm", [(12, 2), (16, 2), (4, 3), (3, 4), (2, 5)])
+    def test_matches_per_vector_reference(self, nm):
+        n, m = nm
+        forms = list(self.forms(random.Random(n * 10 + m), n, m, 150))
+        verdicts = [_bilinear_axiom4(n, m, *f) for f in forms]
+        assert verdicts == [reference_axiom4(n, m, *f) for f in forms]
+        assert True in verdicts and False in verdicts
+
+    def test_condition_3_at_d_n_over_2(self):
+        """m = 2 with D = n/2 passes wherever 1 and 2 hold; m = 3 fails."""
+        for n in (4, 6, 8, 10, 12, 14, 16):
+            pairs = [(a, b) for a in units(n) for b in units(n) if pow(b, -1, n) - a == n // 2]
+            for alpha, beta in pairs:
+                D = n // 2
+                assert _bilinear_axiom4(n, 2, alpha, beta, ((D, 1), (-1 - D, D)))
+                assert reference_axiom4(n, 2, alpha, beta, ((D, 1), (-1 - D, D)))
+                A3 = ((D, 0, 0), (-D, D, 0), (-D, -D, D))
+                assert not _bilinear_axiom4(n, 3, alpha, beta, A3)
+                assert not reference_axiom4(n, 3, alpha, beta, A3)
+
+    def test_rank_1_is_6d(self):
+        """m = 1 at the forced diagonal, n = 2..30, every unit pair: the
+        per-vector condition holds exactly where 6D = 0."""
+        for n in range(2, 31):
+            for alpha, beta in itertools.product(units(n), repeat=2):
+                D = (pow(beta, -1, n) - alpha) % n
+                assert reference_axiom4(n, 1, alpha, beta, ((D,),)) == (6 * D % n == 0)
+                assert _bilinear_axiom4(n, 1, alpha, beta, ((D,),)) == (6 * D % n == 0)
 
 
 def _det(Q):

@@ -6,6 +6,8 @@ import pytest
 
 from bilbiq import (
     AxiomViolation,
+    BilinearSpec,
+    CapacityExceeded,
     FiniteBiquandle,
     IndexOutOfRange,
     NotAntisymmetric,
@@ -18,6 +20,7 @@ from bilbiq import (
     build_bilinear,
     check_axioms,
     is_quandle,
+    is_symplectic,
     omega,
     parse_spec,
     symplectic_quandle,
@@ -330,6 +333,31 @@ class TestSymplectic:
         with pytest.raises(NotAntisymmetric):
             symplectic_quandle(4, 2, [[0, 1], [1, 0]])
 
+    @pytest.mark.parametrize(
+        "n, A", [(3, [[1, 1], [2, 0]]), (4, [[2, 0], [0, 2]]), (5, [[0, 0, 0], [0, 0, 0], [0, 0, 3]])]
+    )
+    def test_non_zero_diagonal(self, n, A):
+        # (4, [[2,0],[0,2]]) has A^t = -A but f(e_1, e_1) = 2.
+        with pytest.raises(NotAntisymmetric, match="needs a zero diagonal and A\\^t = -A"):
+            symplectic_quandle(n, len(A), A)
+
+    @pytest.mark.parametrize("m, A", [(3, [[0, 1], [2, 0]]), (1, [[0, 1], [2, 0]])])
+    def test_wrong_shape(self, m, A):
+        with pytest.raises(ShapeError, match=f"^form matrix is 2x2, expected {m}x{m}$"):
+            symplectic_quandle(3, m, A)
+
+    def test_is_symplectic_matches_constructor(self):
+        """is_symplectic and symplectic_quandle take the same forms at
+        alpha = beta = 1: every form on (Z_4)^2."""
+        for flat in itertools.product(range(4), repeat=4):
+            A = (flat[:2], flat[2:])
+            try:
+                symplectic_quandle(4, 2, A)
+                accepted = True
+            except NotAntisymmetric:
+                accepted = False
+            assert is_symplectic(BilinearSpec(4, 2, 1, 1, A)) == accepted, A
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_all_antisymmetric_forms(self, n):
         for c in range(n):
@@ -397,6 +425,29 @@ class TestBlockMatrix:
     def test_wrong_row_count(self):
         with pytest.raises(ParseError):
             block_matrix_decode("2\n1 1 1 1\n1 1 1 1\n")
+
+    @pytest.mark.parametrize("text", ["", "\n  \n\t\n"])
+    def test_empty(self, text):
+        with pytest.raises(ParseError, match="^empty matrix text$"):
+            block_matrix_decode(text)
+
+    @pytest.mark.parametrize("line", ["x", "2 2", "1.0"])
+    def test_bad_size_line(self, line):
+        with pytest.raises(ParseError, match=f"^bad size line {re.escape(repr(line))}$"):
+            block_matrix_decode(f"{line}\n1 1\n1 1\n")
+
+    def test_size_above_bound(self, monkeypatch):
+        """The size line is checked before any row is read: these rows
+        are too few and hold a bad token."""
+        monkeypatch.setenv("BBQ_CARRIER_BOUND", "5")
+        with pytest.raises(CapacityExceeded, match="^matrix has 6 elements, above bound 5$"):
+            block_matrix_decode("6\n1 x\n")
+        text = block_matrix_encode(alexander_biquandle(5, 2, 3))
+        monkeypatch.setenv("BBQ_CARRIER_BOUND", "4")
+        with pytest.raises(CapacityExceeded):
+            block_matrix_decode(text)
+        monkeypatch.setenv("BBQ_CARRIER_BOUND", "5")
+        assert block_matrix_decode(text) == alexander_biquandle(5, 2, 3)
 
     def test_non_integer(self):
         with pytest.raises(ParseError):

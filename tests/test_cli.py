@@ -100,6 +100,18 @@ class TestVerify:
         code, out, _ = invoke(capsys, "verify", "--matrix-file", str(path))
         assert code == 0
 
+    def test_matrix_file_capacity(self, capsys, monkeypatch, tmp_path):
+        # The same bound as `verify --spec` on the same structure.
+        path = tmp_path / "z9.txt"
+        code, out, _ = invoke(capsys, "matrix", "--spec", "9,2,1,1,[[0,1],[8,0]]")
+        assert code == 0
+        path.write_text(out)
+        monkeypatch.setenv("BBQ_CARRIER_BOUND", "5")
+        assert invoke(capsys, "verify", "--matrix-file", str(path)) == (
+            3, "", "error: matrix has 81 elements, above bound 5\n"
+        )
+        assert invoke(capsys, "verify", "--spec", "9,2,1,1,[[0,1],[8,0]]")[0] == 3
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "verify", "--matrix-file", str(tmp_path / "no"))
         assert code == 2
@@ -175,8 +187,8 @@ class TestInvariant:
         assert code == 2
 
     def test_capacity(self, capsys, monkeypatch):
-        # The closed-form axiom check walks the carrier, so it must stop
-        # at the bound too, before any table is built.
+        # The carrier bound is checked before the axiom-4 rule and before
+        # any table is built.
         monkeypatch.setenv("BBQ_CARRIER_BOUND", "50")
         code, out, err = invoke(
             capsys, "invariant", "--link", "unknot", "--spec", "53,1,1,1,[[0]]"
@@ -184,6 +196,13 @@ class TestInvariant:
         assert code == 3
         assert out == ""
         assert err.startswith("error: 53^1 = 53 exceeds bound 50")
+
+    def test_refusal_names_the_spec(self, capsys):
+        code, out, err = invoke(
+            capsys, "invariant", "--link", "unknot", "--spec", "4,2,1,1,[[0,1],[1,0]]"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: spec 4,2,1,1,[[0,1],[1,0]] does not satisfy the biquandle axioms\n"
 
 
 class TestColor:
@@ -222,6 +241,15 @@ class TestColor:
     def test_bad_gauss(self, capsys):
         code, _, err = invoke(capsys, "color", "--gauss", "bad", "--spec", self.BB1)
         assert code == 2
+
+    def test_refuses_non_biquandle(self, capsys):
+        # Entries and diagonal pass validate(), axiom 3 fails: as for
+        # `invariant`, no coloring is printed.
+        code, out, err = invoke(
+            capsys, "color", "--link", "trefoil", "--spec", "4,2,1,1,[[0,1],[1,0]]", "--limit", "2"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: spec 4,2,1,1,[[0,1],[1,0]] does not satisfy the biquandle axioms\n"
 
 
 class TestTable:
@@ -282,6 +310,23 @@ class TestTable:
 
 
 class TestSpecCapacity:
+    @pytest.mark.parametrize("command", ["invariant", "color"])
+    @pytest.mark.parametrize(
+        "bound, spec, message",
+        [
+            (None, "1000000000000,2,1,1,[[0,1],[2,0]]", f"{10**12}^2 = {10**24} exceeds bound 10000"),
+            ("50", "8,2,1,1,[[0,1],[2,0]]", "8^2 = 64 exceeds bound 50"),
+        ],
+        ids=["default", "bound-50"],
+    )
+    def test_bound_before_axiom_rule(self, capsys, monkeypatch, command, bound, spec, message):
+        # A_12 + A_21 = 3 fails the axiom-4 rule, which needs no table,
+        # but a carrier past the bound is refused first.
+        if bound is not None:
+            monkeypatch.setenv("BBQ_CARRIER_BOUND", bound)
+        code, out, err = invoke_within_1s(capsys, command, "--link", "unknot", "--spec", spec)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
     @pytest.mark.parametrize(
         "argv",
         [["verify"], ["matrix"], ["invariant", "--link", "unknot"], ["color", "--link", "unknot"]],
