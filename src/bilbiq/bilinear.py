@@ -17,8 +17,9 @@ import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .biquandle import FiniteBiquandle, _axiom3, _bilinear_axiom4, _build_tables, omega
-from .errors import CapacityExceeded, DimensionMismatch, InvariantViolation, ParseError
+from .biquandle import FiniteBiquandle, _bilinear_axiom4, _bilinear_valid, _build_tables
+from .biquandle import _entry_admissible, omega
+from .errors import CapacityExceeded, InvariantViolation, ParseError
 from .modular import Matrix, carrier_bound, check_module, inv_scalar, reduce_matrix, units
 
 
@@ -55,7 +56,7 @@ class BilinearSpec:
                     f"A[{i}][{i}] = {self.matrix[i][i]}, must equal beta^-1 - alpha = {diag}"
                 )
             for j in range(self.m):
-                if (1 - self.beta * self.beta) * self.matrix[i][j] % n:  # see candidate_entries
+                if not _entry_admissible(self.beta, self.matrix[i][j], n):
                     raise InvariantViolation(
                         f"A[{i}][{j}] = {self.matrix[i][j]} fails the entry conditions"
                     )
@@ -63,8 +64,8 @@ class BilinearSpec:
 
 def candidate_entries(alpha: int, beta: int, n: int) -> list[int]:
     """Scalars x with alpha(1-beta^2)x = beta(1-beta^2)x = 0 mod n, that
-    is (1-beta^2)x = 0 as beta is a unit."""
-    return [x for x in range(n) if (1 - beta * beta) * x % n == 0]
+    is (1-beta^2)x = 0 as beta is a unit (`_entry_admissible`)."""
+    return [x for x in range(n) if _entry_admissible(beta, x, n)]
 
 
 def build_bilinear(spec: BilinearSpec) -> FiniteBiquandle:
@@ -76,35 +77,14 @@ def build_bilinear(spec: BilinearSpec) -> FiniteBiquandle:
     return _build_tables(spec.n, spec.m, spec.alpha, spec.beta, spec.matrix)
 
 
-def valid_tables(n: int, m: int, alpha: int, beta: int, A) -> FiniteBiquandle | None:
-    """The tables of (alpha, beta, A) if they satisfy the four axioms,
-    else None.
-
-    (Z_n)^m is checked against the carrier bound first (check_module), so
-    a spec past it raises CapacityExceeded whatever its form.  Axiom 4,
-    which implies axioms 1 and 2, is then decided by `_bilinear_axiom4`
-    from the diagonal and symmetric part of A and (n, m, D), and only its
-    survivors are built.  Their axiom 3 is checked with a only in
-    {e_1, ..., e_m}: identities 1 and 4 are linear in a, 3 and 6 do not
-    involve a, and 2 and 5 read beta^(+-2) c on both sides.
-    """
-    check_module(n, m)
-    if not _bilinear_axiom4(n, m, alpha, beta, A):
-        return None
-    bq = _build_tables(n, m, alpha, beta, A)
-    basis = [n ** (m - 1 - i) for i in range(m)]  # carrier indices of e_1, ..., e_m
-    return bq if _axiom3(bq, basis) is None else None
-
-
 def checked_tables(spec: BilinearSpec) -> FiniteBiquandle:
     """The tables of a spec that is a biquandle: validate(), then the
-    carrier bound and the axioms in valid_tables, else InvariantViolation
-    naming the spec."""
+    carrier bound and the closed-form verdict of `_bilinear_valid`, else
+    InvariantViolation naming the spec.  Only a spec that passes is built."""
     spec.validate()
-    bq = valid_tables(spec.n, spec.m, spec.alpha, spec.beta, spec.matrix)
-    if bq is None:
+    if not _bilinear_valid(spec.n, spec.m, spec.alpha, spec.beta, spec.matrix):
         raise InvariantViolation(f"spec {format_spec(spec)} does not satisfy the biquandle axioms")
-    return bq
+    return _build_tables(spec.n, spec.m, spec.alpha, spec.beta, spec.matrix)
 
 
 def is_symplectic(spec: BilinearSpec) -> bool:
@@ -159,16 +139,14 @@ def _classify(n, m, entries_of, exclude_symplectic):
     forms of each unit pair (alpha, beta), with off-diagonal entries
     from entries_of(alpha, beta), reported by the class minimum,
     symplectic ones dropped if asked, ordered by (alpha, beta, row-major
-    A).  Each candidate is decided on its own, and only an accepted one
-    has its class closed: the verdict is exact and a basis change is an
-    isomorphism, so a rejected class is rejected member by member.
-    Raises DimensionMismatch if n < 2 or m < 1, and CapacityExceeded if n^m,
-    the unit pairs or one pair's candidate forms exceed carrier_bound().
+    A).  Each candidate is decided on its own by `_bilinear_valid`, with
+    no table, and only an accepted one has its class closed: the verdict
+    is exact and a basis change is an isomorphism, so a rejected class is
+    rejected member by member.  Raises what check_module raises, and
+    CapacityExceeded if the unit pairs or one pair's candidate forms
+    exceed carrier_bound().
     """
-    if n < 2 or m < 1:
-        raise DimensionMismatch(f"need n >= 2 and m >= 1, got ({n}, {m})")
-    if m > carrier_bound().bit_length() or n**m > carrier_bound():  # n^m >= 2^m
-        raise CapacityExceeded(f"(Z_{n})^{m} exceeds bound {carrier_bound()}")
+    check_module(n, m)
     us = units(n)
     if len(us) ** 2 > carrier_bound():
         raise CapacityExceeded(f"{len(us)}^2 unit pairs mod {n} exceed bound {carrier_bound()}")
@@ -187,7 +165,7 @@ def _classify(n, m, entries_of, exclude_symplectic):
             for k, e in zip(offdiag, combo):
                 flat[k] = e
             A = tuple(flat)
-            if A in seen or valid_tables(n, m, alpha, beta, _rows(A, m)) is None:
+            if A in seen or not _bilinear_valid(n, m, alpha, beta, _rows(A, m)):
                 continue
             cls = _congruence_class(A, n, m)
             seen |= cls

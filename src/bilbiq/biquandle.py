@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .modular import carrier_bound, enumerate_module, inv_scalar, reduce_matrix
+from .modular import carrier_bound, check_module, enumerate_module, inv_scalar, reduce_matrix
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -199,8 +199,8 @@ def _gather(source):
     return itemgetter(*source)
 
 
-def _axiom3(bq: FiniteBiquandle, firsts) -> AxiomViolation | None:
-    """Axiom 3 for every (a, b, c) with a in firsts, taken in the order given.
+def _axiom3(bq: FiniteBiquandle) -> AxiomViolation | None:
+    """Axiom 3 for every (a, b, c).
 
     Every side of the six identities is a composition of unary maps,
     the columns U_y: x -> x^y and L_y: x -> x_y of up and low and the
@@ -217,12 +217,10 @@ def _axiom3(bq: FiniteBiquandle, firsts) -> AxiomViolation | None:
     side, so memory stays O(block).  In a block the maps in a come out in
     (b, c, a) order; strided slices put them in the (a, b, c) order of the
     maps in c, and each identity is one comparison.  The witness is the
-    least (position of a in firsts, b, c, identity): the first difference
-    in a block that differs, least over the blocks.
+    least (a, b, c, identity): the first difference in a block that
+    differs, least over the blocks.
     """
-    n, f = bq.size, len(firsts)
-    if not f:
-        return None
+    n = bq.size
     if n <= _BYTE_LIMIT:
         pad = bytes(256 - n)
         seq, sources, apply, join = bytes, list, bytes.translate, b"".join
@@ -236,41 +234,40 @@ def _axiom3(bq: FiniteBiquandle, firsts) -> AxiomViolation | None:
             return reduce(iadd, parts, [])  # extends piece by piece, in C
 
         apply = itemgetter.__call__
-    start = sources([seq(firsts)])[0]
     columns = list(map(slice, range(n), repeat(None), repeat(n)))
     # From each row start, 256 bytes (those past the row are never read) or the row.
     windows = list(map(slice, range(0, n * n, n), range(n + len(pad), n * n + n + len(pad), n)))
 
     def sides(up, low):
         """The sides of identities 1 to 3, as maps to join, for the b in
-        [b0, b1) and the a at the offsets `at` in a flat table: r1 and r3
-        in (b, c, a) order, then l1, l2, r2 and l3 in (a, b, c) order."""
+        [b0, b1) and every a, at the offsets `at` in a flat table: r1 and
+        r3 in (b, c, a) order, then l1, l2, r2 and l3 in (a, b, c) order."""
         up_row = list(map(seq, up))
         up_flat, low_flat = join(up_row), join(map(seq, low))  # x^y, x_y at x n + y
+        up_col = list(map(up_flat.__getitem__, columns))
         low_col = list(map(low_flat.__getitem__, columns))
         low_flat_t = join(low_col)  # y_x at x n + y
         up_x, low_x, up_y, low_y = (  # rows x and columns y, as maps to apply
             list(map((flat + pad).__getitem__, windows))
-            for flat in (up_flat, low_flat, join(map(up_flat.__getitem__, columns)), low_flat_t)
+            for flat in (up_flat, low_flat, join(up_col), low_flat_t)
         )
-        a_up = sources(map(apply, repeat(start), up_y))  # x -> (a^x for a in firsts)
+        a_up = sources(up_col)  # x -> U_x
         c_low = sources(low_col)  # y -> L_y
-        low_firsts = list(map(low_y.__getitem__, firsts))
 
         def block(b0, b1, at):
             bc = slice(b0 * n, b1 * n)
-            a_c_b = _gather(low_flat_t[bc])(a_up)  # a^{c_b} by (b, c)
+            a_c_b = _gather(low_flat_t[bc])(a_up)  # U_{c_b} by (b, c)
             by_b_c = _gather(up_flat[bc])  # b^c
             a_b_up, a_b, b_a = (
                 join(map(t.__getitem__, at)) for t in (up_flat, low_flat, low_flat_t)
             )
             by_a_b_up, by_b_a = _gather(a_b_up), _gather(b_a)
-            low_a = chain.from_iterable(map(repeat, low_firsts, repeat(b1 - b0)))  # L_a by (a, b)
+            low_a = chain.from_iterable(map(repeat, low_y, repeat(b1 - b0)))  # L_a by (a, b)
             return (
                 map(apply, a_c_b, by_b_c(up_y)),
                 map(apply, a_c_b, by_b_c(low_x)),
                 by_a_b_up(up_row),
-                map(apply, c_low[b0:b1] * f, low_a),
+                map(apply, c_low[b0:b1] * n, low_a),
                 map(apply, _gather(a_b)(c_low), by_b_a(low_y)),
                 map(apply, by_a_b_up(c_low), by_b_a(up_x)),
             )
@@ -278,12 +275,12 @@ def _axiom3(bq: FiniteBiquandle, firsts) -> AxiomViolation | None:
         return block
 
     pairs = (sides(bq.up, bq.low), sides(bq.upbar, bq.lowbar))
-    step = max(1, min(n, _BLOCK // (f * n)))
-    to_abc = [slice(p, None, f) for p in range(f)]  # (b, c, a) order to (a, b, c)
+    step = max(1, min(n, _BLOCK // (n * n)))
+    to_abc = [slice(p, None, n) for p in range(n)]  # (b, c, a) order to (a, b, c)
     best = None
     for b0 in range(0, n, step):
         b1 = min(b0 + step, n)
-        at = [slice(a * n + b0, a * n + b1) for a in firsts]
+        at = [slice(a * n + b0, a * n + b1) for a in range(n)]
         for k, pair in enumerate(pairs):
             r1, r3, l1, l2, r2, l3 = map(join, pair(b0, b1, at))
             r1, r3 = join(map(r1.__getitem__, to_abc)), join(map(r3.__getitem__, to_abc))
@@ -294,8 +291,8 @@ def _axiom3(bq: FiniteBiquandle, firsts) -> AxiomViolation | None:
                     best = found if best is None else min(best, found)
     if best is None:
         return None
-    p, b, c, i = best
-    return AxiomViolation(3, _AXIOM3_EQUATIONS[i], (firsts[p], b, c))
+    a, b, c, i = best
+    return AxiomViolation(3, _AXIOM3_EQUATIONS[i], (a, b, c))
 
 
 def _axiom4(bq: FiniteBiquandle) -> AxiomViolation | None:
@@ -313,9 +310,8 @@ def check_axioms(bq: FiniteBiquandle) -> AxiomReport:
     """Exhaustively verify the four biquandle axioms on the tables, with
     the least failing elements of each axiom as its witness.  It reads
     nothing but the tables, so it is the independent check of the
-    bilinear rule for axiom 4 (`_bilinear_axiom4`) and of the basis-only
-    axiom 3 in `valid_tables`."""
-    return AxiomReport((_axiom1(bq), _axiom2(bq), _axiom3(bq, range(bq.size)), _axiom4(bq)))
+    closed-form bilinear verdict (`_bilinear_valid`), which builds none."""
+    return AxiomReport((_axiom1(bq), _axiom2(bq), _axiom3(bq), _axiom4(bq)))
 
 
 def alexander_biquandle(n: int, s: int, t: int) -> FiniteBiquandle:
@@ -410,6 +406,68 @@ def _bilinear_axiom4(n: int, m: int, alpha: int, beta: int, A) -> bool:
         all((A[i][i] - D) % n == 0 for i in range(m))
         and all((A[i][j] + A[j][i] + D) % n == 0 for i in range(m) for j in range(i))
         and {1: 6, 2: 2}.get(m, 1) * D % n == 0
+    )
+
+
+def _entry_admissible(beta: int, x: int, n: int) -> bool:
+    """The entry condition (1 - beta^2) x = 0 mod n, which axiom 3 asks
+    of every entry x of the form matrix (see `_bilinear_valid`)."""
+    return (1 - beta * beta) * x % n == 0
+
+
+def _bilinear_valid(n: int, m: int, alpha: int, beta: int, A) -> bool:
+    """Whether the bilinear structure (alpha, beta, A) on (Z_n)^m is a
+    biquandle, decided with no table: check_module first, which raises
+    DimensionMismatch or CapacityExceeded, then axioms 1, 2 and 4 by
+    `_bilinear_axiom4`, then axiom 3, which given them holds iff every
+    entry passes `_entry_admissible`: (1 - beta^2) A_ij = 0.
+
+    Proof of the axiom-3 step.  Assume the axiom-4 rule, and write
+    s(b,c) = f(b,c) + f(c,b) and b^c = alpha b + f(b,c) c.  The entry
+    condition on A is (1 - beta^2) f = 0 on all vectors, as f is bilinear.
+      - Identities 2 and 5: x_y = beta x ignores y, so both sides of 2 are
+        beta^2 c, and of 5 beta^-2 c.
+      - Identity 3: the sides are (beta b)^(beta c) = alpha beta b +
+        beta^3 f(b,c) c and beta (b^c), which differ by
+        beta (beta^2 - 1) f(b,c) c.  At b = e_i, c = e_j it is zero iff
+        (beta^2 - 1) A_ij = 0, as beta is a unit: axiom 3 implies the
+        entry condition.  Conversely the condition makes it zero for all
+        b, c, and also identity 6, whose sides differ by
+        w (beta^-3 - beta^-1) f(b,c) c.
+      - Identity 1: with (beta^2 - 1) f = 0,
+        (a^b)^c - (a^(c_b))^(b^c) = -E b^c, where
+        E = (alpha^2 - 1) f(a,b) + alpha f(a,c) s(b,c) + f(a,c) f(b,c) f(c,c).
+        By the rule D is 0 for m >= 3, 0 or n/2 for m = 2 and 6D = 0 for
+        m = 1.
+          - D = 0: alpha = beta^-1, so alpha^2 - 1 is a unit times
+            1 - beta^2 and kills f, and A is alternating, so s = 0 and
+            f(c,c) = 0.  E = 0.
+          - m = 1: f(x,y) = D x y and b^c = u b with u = alpha + D c^2,
+            so E b^c = D a b^2 u (u^2 - 1), zero as 6 divides u^3 - u.
+          - m = 2, D = n/2: n is even, so alpha and beta^-1 are odd and
+            D = beta^-1 - alpha is even: 4 divides n, so 2D = D^2 = 0.
+            Then alpha^2 = beta^-2, so (alpha^2 - 1) f = 0; A + A^t is D
+            off the diagonal and 0 on it, so s(b,c) = D (b_1 c_2 + b_2 c_1);
+            and f(c,c) = D q(c) with q(c) = c_1^2 - c_1 c_2 + c_2^2.  So
+            E = D e with e = f(a,c) (alpha (b_1 c_2 + b_2 c_1) + f(b,c) q(c)),
+            and E b^c = 0 iff e b^c is even.  Mod 2, alpha = 1 and
+            A = [[0,t],[t,0]], as D is even and A_12 + A_21 = -D, so this
+            is a finite check over a, b, c in (Z_2)^2 and t in {0, 1},
+            and it passes: e is even.  With sigma = b_1 c_2 + b_2 c_1,
+            f(b,c) = t sigma and e = f(a,c) sigma (1 + t q(c)) mod 2;
+            f(a,c) = 0 if t = 0, and 1 + q(c) is odd only at c = 0, where
+            f(a,c) = 0.
+      - Identity 4 is identity 1 for the barred operations, that is with
+        (alpha^-1, w f, beta^-1) in place of (alpha, f, beta); the entry
+        condition gives (beta^-2 - 1) w f = 0, as the computation needs.
+        The three cases carry over: for D = 0, alpha^-1 = beta and w f is
+        alternating; for m = 1, w f(x,y) = w D x y and u = alpha^-1 + w D c^2;
+        for D = n/2, (alpha^-2 - 1) w f = (beta^2 - 1) w f = 0, and w and
+        alpha^-1 are odd for even n, so E = w^2 D e with e the same mod 2.
+    """
+    check_module(n, m)
+    return _bilinear_axiom4(n, m, alpha, beta, A) and all(
+        _entry_admissible(beta, x, n) for row in A for x in row
     )
 
 

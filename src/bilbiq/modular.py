@@ -57,12 +57,21 @@ def reduce_matrix(entries, n: int) -> Matrix:
 
 def check_module(n: int, m: int) -> None:
     """DimensionMismatch unless n >= 2 and m >= 1; CapacityExceeded if
-    (Z_n)^m has more than carrier_bound() elements."""
+    (Z_n)^m has more than carrier_bound() elements.
+
+    n^m is at least 2^(m k) with k = n.bit_length() - 1.  Once m k
+    reaches both the bound's bit length and 1,000, the module is refused
+    without working n^m out, and the message leaves it out: a huge m
+    ends at once, and no power too long to print is made.
+    """
     if n < 2 or m < 1:
         raise DimensionMismatch(f"need n >= 2 and m >= 1, got ({n}, {m})")
+    bound = carrier_bound()
+    if m * (n.bit_length() - 1) >= max(bound.bit_length(), 1000):
+        raise CapacityExceeded(f"{n}^{m} exceeds bound {bound}")
     size = n**m
-    if size > carrier_bound():
-        raise CapacityExceeded(f"{n}^{m} = {size} exceeds bound {carrier_bound()}")
+    if size > bound:
+        raise CapacityExceeded(f"{n}^{m} = {size} exceeds bound {bound}")
 
 
 def enumerate_module(n: int, m: int) -> list[Vector]:

@@ -18,11 +18,11 @@ from bilbiq import (
     search,
     units,
 )
-from bilbiq import bilinear
-from bilbiq.bilinear import _congruence_class, valid_tables
-from bilbiq.biquandle import _bilinear_axiom4, _build_tables
+from bilbiq import bilinear, biquandle
+from bilbiq.bilinear import _congruence_class, checked_tables
+from bilbiq.biquandle import _bilinear_axiom4, _bilinear_valid, _build_tables
 
-from conftest import reference_axiom4
+from conftest import reference_axiom3, reference_axiom4
 
 ZERO2 = ((0, 0), (0, 0))
 ZERO3 = ((0, 0, 0), (0, 0, 0), (0, 0, 0))
@@ -175,15 +175,15 @@ def brute_force_forms(n, m):
 
 
 class TestValidTables:
-    """The verdict, and the closed-form rule for axiom 4, against the
-    exhaustive check of the built tables.  Wherever the rule holds,
-    axioms 1 and 2 must hold too."""
+    """The closed-form verdict, and the closed-form rule for axiom 4,
+    against the exhaustive check of the built tables.  Wherever the rule
+    holds, axioms 1 and 2 must hold too."""
 
     @staticmethod
     def agrees(n, m, alpha, beta, A):
         report = check_axioms(_build_tables(n, m, alpha, beta, A))
         closed_form = _bilinear_axiom4(n, m, alpha, beta, A)
-        verdict = valid_tables(n, m, alpha, beta, A) is not None
+        verdict = _bilinear_valid(n, m, alpha, beta, A)
         implied = report.axiom_passes(1) and report.axiom_passes(2) or not closed_form
         return (closed_form, verdict, implied) == (report.axiom_passes(4), report.all_pass, True)
 
@@ -218,8 +218,112 @@ class TestValidTables:
         assert [f for f in forms + emitted if not self.agrees(8, 2, *f)] == []
 
     def test_returns_the_tables(self, bb1_spec):
-        s = bb1_spec
-        assert valid_tables(s.n, s.m, s.alpha, s.beta, s.matrix) == build_bilinear(s)
+        assert checked_tables(bb1_spec) == build_bilinear(bb1_spec)
+        with pytest.raises(InvariantViolation, match="does not satisfy the biquandle axioms"):
+            checked_tables(parse_spec("4,2,1,1,[[0,1],[1,0]]"))
+
+
+class TestClosedVerdict:
+    """`_bilinear_valid` against the verdict it replaces, on shapes where
+    check_axioms is too slow: the axiom-4 rule, then the plain axiom-3
+    loop on the built tables with a only in e_1, ..., e_m, which is
+    enough as identities 1 and 4 are linear in a and the others do not
+    involve it."""
+
+    @staticmethod
+    def basis_verdict(n, m, alpha, beta, A):
+        if not _bilinear_axiom4(n, m, alpha, beta, A):
+            return False
+        basis = [n ** (m - 1 - i) for i in range(m)]  # carrier indices of e_1, ..., e_m
+        return reference_axiom3(_build_tables(n, m, alpha, beta, A), basis) is None
+
+    @staticmethod
+    def rule_forms(n, m):
+        """Every form that passes the axiom-4 rule: the forced diagonal
+        D, any entries above it, A_ji = -D - A_ij below it."""
+        cells = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        for alpha, beta in itertools.product(units(n), repeat=2):
+            D = (pow(beta, -1, n) - alpha) % n
+            if {1: 6, 2: 2}.get(m, 1) * D % n:
+                continue
+            for combo in itertools.product(range(n), repeat=len(cells)):
+                A = [[D] * m for _ in range(m)]
+                for (i, j), e in zip(cells, combo):
+                    A[i][j], A[j][i] = e, (-D - e) % n
+                yield alpha, beta, tuple(map(tuple, A))
+
+    @pytest.mark.parametrize(
+        "nm, k",
+        [((8, 2), 4), ((12, 2), 2), ((16, 2), 1), ((20, 2), 1)]
+        + [((3, 3), 4), ((4, 3), 3), ((2, 4), 4)],
+    )
+    def test_seeded_forms(self, nm, k):
+        """k seeded rule-passing forms from each group of (verdict,
+        D = n/2), so that D = n/2 is met on (n, 2), and 20 random forms
+        with the forced diagonal, most of which fail the rule."""
+        n, m = nm
+        rng = random.Random(n * 10 + m)
+        groups = {}
+        for f in self.rule_forms(n, m):
+            D = (pow(f[1], -1, n) - f[0]) % n
+            groups.setdefault((_bilinear_valid(n, m, *f), D == n // 2), []).append(f)
+        forms = []
+        for key in sorted(groups):
+            forms += rng.sample(groups[key], min(k, len(groups[key])))
+        forms += rng.sample(list(brute_force_forms(n, m)), 20)
+        verdicts = [_bilinear_valid(n, m, *f) for f in forms]
+        assert verdicts == [self.basis_verdict(n, m, *f) for f in forms]
+        assert True in verdicts and False in verdicts
+        assert m != 2 or (True, True) in groups
+
+    @pytest.mark.parametrize(
+        "ns, k", [(range(2, 41), None), (range(41, 73), 4)], ids=["n2-40", "n41-72"]
+    )
+    def test_every_rank_1_form(self, ns, k):
+        """m = 1: every unit pair with the forced diagonal D, where the
+        rule is 6D = 0 and the entry condition follows from it.  From
+        n = 41 on, the tables are built for k seeded pairs with 6D = 0 and
+        D != 0 per n, the m = 1 case of the proof."""
+        rng = random.Random(72)
+        for n in ns:
+            pairs = [(a, b, (pow(b, -1, n) - a) % n) for a in units(n) for b in units(n)]
+            if k is not None:
+                built = [p for p in pairs if p[2] and 6 * p[2] % n == 0]
+                pairs = [p for p in pairs if 6 * p[2] % n] + rng.sample(built, min(k, len(built)))
+            forms = [(a, b, ((D,),)) for a, b, D in pairs]
+            verdicts = [_bilinear_valid(n, 1, *f) for f in forms]
+            assert verdicts == [self.basis_verdict(n, 1, *f) for f in forms], n
+
+    def test_mod_2_lemma(self):
+        """The last step of the D = n/2 case on (Z_n)^2: with alpha odd and
+        A = [[0,t],[t,0]] mod 2, e b^c is even for all a, b, c, where
+        e = f(a,c) (alpha (b_1 c_2 + b_2 c_1) + f(b,c) q(c)) and
+        q(c) = c_1^2 - c_1 c_2 + c_2^2."""
+        vectors = list(itertools.product(range(2), repeat=2))
+        for t in range(2):
+            def f(x, y):
+                return t * (x[0] * y[1] + x[1] * y[0])
+
+            for a, b, c in itertools.product(vectors, repeat=3):
+                q = c[0] ** 2 - c[0] * c[1] + c[1] ** 2
+                e = f(a, c) * ((b[0] * c[1] + b[1] * c[0]) + f(b, c) * q)  # alpha = 1 mod 2
+                b_c = [b[i] + f(b, c) * c[i] for i in range(2)]
+                assert [e * x % 2 for x in b_c] == [0, 0], (t, a, b, c)
+
+
+class TestSearchBuildsNoTable:
+    """search and brute_force_search decide every candidate in closed
+    form: with every table build refused, they return the same lists."""
+
+    @pytest.mark.parametrize("nm", [(3, 2), (8, 2), (3, 3), (2, 1)])
+    def test_no_build(self, nm, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a table was built")
+
+        expected = [spec_tuples(f(*nm)) for f in (search, brute_force_search)]
+        monkeypatch.setattr(bilinear, "_build_tables", refuse)
+        monkeypatch.setattr(biquandle, "_build_tables", refuse)
+        assert [spec_tuples(f(*nm)) for f in (search, brute_force_search)] == expected
 
 
 class TestAxiom4Rule:

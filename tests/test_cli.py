@@ -297,16 +297,43 @@ class TestTable:
         assert proc.stderr.startswith("error:")
 
     @pytest.mark.parametrize(
-        "n, m", [("3", "4"), ("2", "5"), ("211", "1"), ("100000000", "1"), ("1000000000000", "2")]
+        "n, m",
+        [
+            ("3", "4"),
+            ("2", "5"),
+            ("211", "1"),
+            ("100000000", "1"),
+            ("1000000000000", "2"),
+            ("3", "10000000"),
+        ],
     )
     def test_candidate_capacity(self, capsys, n, m):
         # 3^12 and 2^20 candidate forms for alpha = beta = 1, 210^2 unit
-        # pairs mod 211, and carriers too large to list the units of.
+        # pairs mod 211, carriers too large to list the units of, and an
+        # m too large to work n^m out.
         code, out, err = invoke_within_1s(capsys, "search", "--n", n, "--m", m)
         assert code == 3
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "bound, n, m, message",
+        [
+            (None, "101", "2", "101^2 = 10201 exceeds bound 10000"),
+            ("50", "8", "2", "8^2 = 64 exceeds bound 50"),
+            (None, "3", "10000000", "3^10000000 exceeds bound 10000"),
+            (None, "7" * 3000, "2", f"{'7' * 3000}^2 exceeds bound 10000"),
+        ],
+        ids=["default", "bound-50", "huge-m", "huge-n"],
+    )
+    def test_module_bound_message(self, capsys, monkeypatch, bound, n, m, message):
+        # The carrier check of every command, check_module; a power too
+        # large to work out or print is named without its value.
+        if bound is not None:
+            monkeypatch.setenv("BBQ_CARRIER_BOUND", bound)
+        code, out, err = invoke_within_1s(capsys, "search", "--n", n, "--m", m)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
 class TestSpecCapacity:
