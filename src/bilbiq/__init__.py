@@ -5,7 +5,6 @@ from .bilinear import (
     BilinearSpec,
     brute_force_search,
     build_bilinear,
-    candidate_entries,
     format_spec,
     is_symplectic,
     parse_spec,

@@ -1,13 +1,15 @@
-"""Bilinear biquandle structures on (Z_n)^m and the exhaustive search
-over constraint-admissible (alpha, beta, A) triples.
+"""Bilinear biquandle structures on (Z_n)^m and the search over the
+(alpha, beta, A) triples on the axiom-4 rule's triangle.
 
 A structure is described by a unit pair (alpha, beta) and an m x m form
-matrix A with forced diagonal beta^-1 - alpha; the operations are
+matrix A with forced diagonal D = beta^-1 - alpha; the operations are
 
     x^y    = alpha x + f(x,y) y        x_y    = beta x
     x^ybar = alpha^-1 x + w f(x,y) y   x_ybar = beta^-1 x
 
-with f(x,y) = x A y^t and w = omega(alpha, beta, n).
+with f(x,y) = x A y^t and w = omega(alpha, beta, n).  The axiom-4 rule
+fixes A_ji = -D - A_ij for i < j, so `search` walks the entries above
+the diagonal only; `brute_force_search` walks both.
 """
 
 from __future__ import annotations
@@ -62,12 +64,6 @@ class BilinearSpec:
                     )
 
 
-def candidate_entries(alpha: int, beta: int, n: int) -> list[int]:
-    """Scalars x with alpha(1-beta^2)x = beta(1-beta^2)x = 0 mod n, that
-    is (1-beta^2)x = 0 as beta is a unit (`_entry_admissible`)."""
-    return [x for x in range(n) if _entry_admissible(beta, x, n)]
-
-
 def build_bilinear(spec: BilinearSpec) -> FiniteBiquandle:
     """Biquandle tables for a spec satisfying its invariants.
 
@@ -79,9 +75,11 @@ def build_bilinear(spec: BilinearSpec) -> FiniteBiquandle:
 
 def checked_tables(spec: BilinearSpec) -> FiniteBiquandle:
     """The tables of a spec that is a biquandle: validate(), then the
-    carrier bound and the closed-form verdict of `_bilinear_valid`, else
-    InvariantViolation naming the spec.  Only a spec that passes is built."""
+    carrier bound (check_module), then the closed-form verdict of
+    `_bilinear_valid`, else InvariantViolation naming the spec.  Only a
+    spec that passes is built."""
     spec.validate()
+    check_module(spec.n, spec.m)
     if not _bilinear_valid(spec.n, spec.m, spec.alpha, spec.beta, spec.matrix):
         raise InvariantViolation(f"spec {format_spec(spec)} does not satisfy the biquandle axioms")
     return _build_tables(spec.n, spec.m, spec.alpha, spec.beta, spec.matrix)
@@ -134,42 +132,45 @@ def _rows(flat, m):
     return tuple(flat[i * m : (i + 1) * m] for i in range(m))
 
 
-def _classify(n, m, entries_of, exclude_symplectic):
+def _classify(n, m, cells_of, exclude_symplectic):
     """One accepted spec per congruence class met among the candidate
-    forms of each unit pair (alpha, beta), with off-diagonal entries
-    from entries_of(alpha, beta), reported by the class minimum,
+    forms of each unit pair (alpha, beta), reported by the class minimum,
     symplectic ones dropped if asked, ordered by (alpha, beta, row-major
-    A).  Each candidate is decided on its own by `_bilinear_valid`, with
-    no table, and only an accepted one has its class closed: the verdict
-    is exact and a basis change is an isomorphism, so a rejected class is
-    rejected member by member.  Raises what check_module raises, and
-    CapacityExceeded if the unit pairs or one pair's candidate forms
-    exceed carrier_bound().
+    A).  A candidate has the diagonal D = beta^-1 - alpha and, for each
+    i < j, a pair (A_ij, A_ji) from cells_of(D); one walk tries every
+    such choice.  Each candidate is decided on its own by
+    `_bilinear_valid`, with no table, and only an accepted one has its
+    class closed: the verdict is exact and a basis change is an
+    isomorphism, so a rejected class is rejected member by member.
+    Raises what check_module raises, and CapacityExceeded if the unit
+    pairs or the forms walked for one pair exceed carrier_bound().
     """
     check_module(n, m)
     us = units(n)
     if len(us) ** 2 > carrier_bound():
         raise CapacityExceeded(f"{len(us)}^2 unit pairs mod {n} exceed bound {carrier_bound()}")
-    pairs = [(a, b, entries_of(a, b)) for a in us for b in us]
-    most = max(len(entries) for _, _, entries in pairs) ** (m * m - m)
-    if most > carrier_bound():
+    upper = [(i * m + j, j * m + i) for i in range(m) for j in range(i + 1, m)]
+    forms = len(cells_of(0)) ** len(upper)
+    if forms > carrier_bound():
         raise CapacityExceeded(
-            f"{most} candidate forms for one unit pair on (Z_{n})^{m} exceed bound {carrier_bound()}"
+            f"{forms} candidate forms for one unit pair on (Z_{n})^{m} exceed bound {carrier_bound()}"
         )
-    offdiag = [i * m + j for i in range(m) for j in range(m) if i != j]
     found = []
-    for alpha, beta, entries in pairs:
-        flat = [(inv_scalar(beta, n) - alpha) % n] * (m * m)
-        seen = set()  # every member of the accepted classes met so far
-        for combo in itertools.product(entries, repeat=len(offdiag)):
-            for k, e in zip(offdiag, combo):
-                flat[k] = e
-            A = tuple(flat)
-            if A in seen or not _bilinear_valid(n, m, alpha, beta, _rows(A, m)):
-                continue
-            cls = _congruence_class(A, n, m)
-            seen |= cls
-            found.append(BilinearSpec(n, m, alpha, beta, _rows(min(cls), m)))
+    for alpha in us:
+        for beta in us:
+            D = (inv_scalar(beta, n) - alpha) % n
+            flat = [D] * (m * m)
+            seen = set()  # every member of the accepted classes met so far
+            # One choice list per cell above the diagonal; m = 1 builds none.
+            for combo in itertools.product(*(cells_of(D) for _ in upper)):
+                for (ij, ji), (e, f) in zip(upper, combo):
+                    flat[ij], flat[ji] = e, f
+                A = tuple(flat)
+                if A in seen or not _bilinear_valid(n, m, alpha, beta, _rows(A, m)):
+                    continue
+                cls = _congruence_class(A, n, m)
+                seen |= cls
+                found.append(BilinearSpec(n, m, alpha, beta, _rows(min(cls), m)))
     if exclude_symplectic:
         found = [s for s in found if not is_symplectic(s)]
     return sorted(found, key=lambda s: (s.alpha, s.beta, s.matrix))
@@ -177,15 +178,18 @@ def _classify(n, m, entries_of, exclude_symplectic):
 
 def search(n: int, m: int, exclude_symplectic: bool = True) -> list[BilinearSpec]:
     """All bilinear biquandle structures on (Z_n)^m up to module basis
-    change, pruned by the admissible-entry conditions, ordered by
-    (alpha, beta, row-major A)."""
-    return _classify(n, m, lambda a, b: candidate_entries(a, b, n), exclude_symplectic)
+    change, ordered by (alpha, beta, row-major A).  The walk covers the
+    axiom-4 rule's triangle: A_ij runs over Z_n for i < j and
+    A_ji = -D - A_ij, so n^(m(m-1)/2) forms per unit pair, each decided
+    by the verdict."""
+    return _classify(n, m, lambda D: [(e, (-D - e) % n) for e in range(n)], exclude_symplectic)
 
 
 def brute_force_search(n: int, m: int, exclude_symplectic: bool = True) -> list[BilinearSpec]:
-    """Same as `search` but with off-diagonal entries ranging over all
-    of Z_n; oracle for the entry-condition pruning."""
-    return _classify(n, m, lambda a, b: range(n), exclude_symplectic)
+    """Same as `search` but with both off-diagonal entries of each cell
+    ranging over all of Z_n, n^(m(m-1)) forms per unit pair: the oracle
+    for the triangle."""
+    return _classify(n, m, lambda D: list(itertools.product(range(n), repeat=2)), exclude_symplectic)
 
 
 def format_spec(spec: BilinearSpec) -> str:

@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .modular import carrier_bound, check_module, enumerate_module, inv_scalar, reduce_matrix
+from .modular import carrier_bound, enumerate_module, inv_scalar, reduce_matrix
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -417,10 +417,10 @@ def _entry_admissible(beta: int, x: int, n: int) -> bool:
 
 def _bilinear_valid(n: int, m: int, alpha: int, beta: int, A) -> bool:
     """Whether the bilinear structure (alpha, beta, A) on (Z_n)^m is a
-    biquandle, decided with no table: check_module first, which raises
-    DimensionMismatch or CapacityExceeded, then axioms 1, 2 and 4 by
-    `_bilinear_axiom4`, then axiom 3, which given them holds iff every
-    entry passes `_entry_admissible`: (1 - beta^2) A_ij = 0.
+    biquandle, decided with no table and no listing, so the caller checks
+    the carrier bound: axioms 1, 2 and 4 by `_bilinear_axiom4`, then
+    axiom 3, which given them holds iff every entry passes
+    `_entry_admissible`: (1 - beta^2) A_ij = 0.
 
     Proof of the axiom-3 step.  Assume the axiom-4 rule, and write
     s(b,c) = f(b,c) + f(c,b) and b^c = alpha b + f(b,c) c.  The entry
@@ -465,7 +465,6 @@ def _bilinear_valid(n: int, m: int, alpha: int, beta: int, A) -> bool:
         for D = n/2, (alpha^-2 - 1) w f = (beta^2 - 1) w f = 0, and w and
         alpha^-1 are odd for even n, so E = w^2 D e with e the same mod 2.
     """
-    check_module(n, m)
     return _bilinear_axiom4(n, m, alpha, beta, A) and all(
         _entry_admissible(beta, x, n) for row in A for x in row
     )

@@ -10,7 +10,6 @@ from bilbiq import (
     ParseError,
     brute_force_search,
     build_bilinear,
-    candidate_entries,
     check_axioms,
     format_spec,
     is_symplectic,
@@ -30,19 +29,6 @@ ZERO3 = ((0, 0, 0), (0, 0, 0), (0, 0, 0))
 
 def spec_tuples(specs):
     return [(s.n, s.m, s.alpha, s.beta, s.matrix) for s in specs]
-
-
-class TestCandidateEntries:
-    def test_examples(self):
-        assert candidate_entries(3, 3, 4) == [0, 1, 2, 3]
-        assert candidate_entries(4, 4, 5) == [0, 1, 2, 3, 4]
-        assert candidate_entries(1, 2, 5) == [0]
-
-    def test_zero_always_admissible(self):
-        for n in range(2, 8):
-            for a in range(1, n):
-                for b in range(1, n):
-                    assert 0 in candidate_entries(a, b, n)
 
 
 class TestBilinearSpec:
@@ -150,14 +136,70 @@ class TestSearch:
 
 
 class TestBruteForce:
-    # n = 5 and 7 have unit pairs whose only admissible entry is 0.
-    @pytest.mark.parametrize("nm", [(2, 2), (3, 2), (4, 2), (5, 2)] + [(n, 1) for n in range(2, 8)])
+    # search walks A_ij for i < j with A_ji = -D - A_ij; brute_force_search
+    # walks both entries of each pair.  m = 1 has no pair to walk.  The
+    # verdict's c D = 0 condition is met with m >= 3, where it asks D = 0,
+    # and with D = n/2 at n = 4 and 8.
+    @pytest.mark.parametrize(
+        "nm",
+        [(2, 2), (3, 2), (4, 2), (5, 2)]
+        + [(n, 1) for n in range(2, 8)]
+        + [(2, 3), (3, 3), (4, 3), (2, 4), (6, 2), (8, 2)],
+    )
     def test_matches_pruned_search(self, nm):
         n, m = nm
         assert brute_force_search(n, m) == search(n, m)
         assert brute_force_search(n, m, exclude_symplectic=False) == search(
             n, m, exclude_symplectic=False
         )
+
+
+class TestTriangleWalk:
+    """search walks n^(m(m-1)/2) forms per unit pair, the triangle of the
+    axiom-4 rule; brute_force_search walks all n^(m(m-1)).  Both send
+    every form that is not a member of an accepted class to the verdict."""
+
+    def count_verdicts(self, monkeypatch, run):
+        calls = []
+        verdict = bilinear._bilinear_valid
+
+        def counted(*args):
+            calls.append(args)
+            return verdict(*args)
+
+        monkeypatch.setattr(bilinear, "_bilinear_valid", counted)
+        run()
+        return len(calls)
+
+    def test_verdict_calls(self, monkeypatch):
+        # 4 unit pairs mod 3, 3^3 forms each on the triangle and 3^6 on
+        # the full walk; either walk skips the same 50 members of accepted
+        # classes, the ones met after the first.
+        assert self.count_verdicts(monkeypatch, lambda: search(3, 3)) == 4 * 3**3 - 50
+        assert self.count_verdicts(monkeypatch, lambda: brute_force_search(3, 3)) == 4 * 3**6 - 50
+
+    @pytest.mark.parametrize(
+        "n, m, pairs, forms",
+        [
+            (2, 5, [(1, 1)], [[], [(3, 4, 1)], [(1, 4, 1), (2, 3, 1)]]),
+            (3, 4, [(1, 1), (2, 2)], [[], [(2, 3, 1)], [(0, 3, 1), (1, 2, 1)]]),
+        ],
+    )
+    def test_new_reach(self, n, m, pairs, forms):
+        # m >= 3 forces D = 0, so A is alternating: one class for each
+        # even rank 0, 2 and 4 over the field Z_n, given by its (i, j, A_ij)
+        # with i < j.
+        def alternating(entries):
+            A = [[0] * m for _ in range(m)]
+            for i, j, e in entries:
+                A[i][j], A[j][i] = e, -e % n
+            return tuple(map(tuple, A))
+
+        found = search(n, m, exclude_symplectic=False)
+        want = [(n, m, a, b, alternating(f)) for a, b in pairs for f in forms]
+        assert spec_tuples(found) == want
+        for spec in found:
+            assert check_axioms(build_bilinear(spec)).all_pass
 
 
 def brute_force_forms(n, m):

@@ -273,9 +273,10 @@ class TestTable:
         assert code == 3
 
     def test_capacity_stop_prints_no_partial_table(self, capsys):
-        # (Z_2)^5 has 2^20 candidate forms; the searches up to 27
-        # elements succeed first, and none of their lines may be printed.
-        code, out, err = invoke(capsys, "table", "--max-cardinality", "32")
+        # (Z_2)^6 has 2^15 candidate forms on the triangle; the searches
+        # up to 63 elements succeed first, and none of their lines may be
+        # printed.
+        code, out, err = invoke(capsys, "table", "--max-cardinality", "64")
         assert code == 3
         assert out == ""
         assert len(err.splitlines()) == 1
@@ -299,8 +300,8 @@ class TestTable:
     @pytest.mark.parametrize(
         "n, m",
         [
-            ("3", "4"),
-            ("2", "5"),
+            ("2", "6"),
+            ("3", "5"),
             ("211", "1"),
             ("100000000", "1"),
             ("1000000000000", "2"),
@@ -308,7 +309,7 @@ class TestTable:
         ],
     )
     def test_candidate_capacity(self, capsys, n, m):
-        # 3^12 and 2^20 candidate forms for alpha = beta = 1, 210^2 unit
+        # 2^15 and 3^10 candidate forms on the triangle, 210^2 unit
         # pairs mod 211, carriers too large to list the units of, and an
         # m too large to work n^m out.
         code, out, err = invoke_within_1s(capsys, "search", "--n", n, "--m", m)
