@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import ast
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 from .biquandle import FiniteBiquandle, _bilinear_axiom4, _bilinear_valid, _build_tables
@@ -27,16 +27,13 @@ from .modular import Matrix, carrier_bound, check_module, inv_scalar, reduce_mat
 
 @dataclass(frozen=True)
 class BilinearSpec:
-    """The tuple (n, m, alpha, beta, A) with its derived constants."""
+    """The tuple (n, m, alpha, beta, A); alpha and beta must be units mod n."""
 
     n: int
     m: int
     alpha: int
     beta: int
     matrix: Matrix
-    alpha_inv: int = field(init=False, compare=False)
-    beta_inv: int = field(init=False, compare=False)
-    omega: int = field(init=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", reduce_matrix(self.matrix, self.n))
@@ -44,14 +41,13 @@ class BilinearSpec:
             raise InvariantViolation(
                 f"form matrix is {len(self.matrix)}x{len(self.matrix)}, expected {self.m}x{self.m}"
             )
-        object.__setattr__(self, "alpha_inv", inv_scalar(self.alpha, self.n))
-        object.__setattr__(self, "beta_inv", inv_scalar(self.beta, self.n))
-        object.__setattr__(self, "omega", omega(self.alpha, self.beta, self.n))
+        # NotInvertible unless alpha, then beta, is a unit mod n.
+        omega(self.alpha, self.beta, self.n)
 
     def validate(self) -> None:
         """Check the structural constraints on the diagonal and entries."""
         n = self.n
-        diag = (self.beta_inv - self.alpha) % n
+        diag = (inv_scalar(self.beta, n) - self.alpha) % n
         for i in range(self.m):
             if self.matrix[i][i] != diag:
                 raise InvariantViolation(
@@ -138,10 +134,12 @@ def _classify(n, m, cells_of, exclude_symplectic):
     symplectic ones dropped if asked, ordered by (alpha, beta, row-major
     A).  A candidate has the diagonal D = beta^-1 - alpha and, for each
     i < j, a pair (A_ij, A_ji) from cells_of(D); one walk tries every
-    such choice.  Each candidate is decided on its own by
-    `_bilinear_valid`, with no table, and only an accepted one has its
-    class closed: the verdict is exact and a basis change is an
-    isomorphism, so a rejected class is rejected member by member.
+    such choice, for each unit pair whose form with every upper entry 0
+    the verdict accepts (a refused one refuses the pair).  Each
+    candidate is decided on its own by `_bilinear_valid`, with no table,
+    and only an accepted one has its class closed: the verdict is exact
+    and a basis change is an isomorphism, so a rejected class is
+    rejected member by member.
     Raises what check_module raises, and CapacityExceeded if the unit
     pairs or the forms walked for one pair exceed carrier_bound().
     """
@@ -160,6 +158,14 @@ def _classify(n, m, cells_of, exclude_symplectic):
         for beta in us:
             D = (inv_scalar(beta, n) - alpha) % n
             flat = [D] * (m * m)
+            for ij, ji in upper:
+                flat[ij], flat[ji] = 0, -D % n
+            # This form meets rule conditions 1 and 2 by construction, so
+            # the verdict can refuse it only on c*D = 0 or on the entry
+            # condition for D (-D passes iff D does), and every form of
+            # the pair shares both: a refused pair is skipped unwalked.
+            if not _bilinear_valid(n, m, alpha, beta, _rows(flat, m)):
+                continue
             seen = set()  # every member of the accepted classes met so far
             # One choice list per cell above the diagonal; m = 1 builds none.
             for combo in itertools.product(*(cells_of(D) for _ in upper)):

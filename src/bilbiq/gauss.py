@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .errors import ParseError, SignMismatch, UnknownLink, UnmatchedCrossing
 
 _TOKEN_RE = re.compile(r"([OU])(\d+)([+-])")
+_COMPONENT_RE = re.compile(r"(?:[OU]\d+[+-])*")
 
 
 @dataclass(frozen=True)
@@ -55,16 +56,16 @@ class CrossingRelation:
 
 def _parse_component(text: str) -> tuple[GaussToken, ...]:
     text = re.sub(r"\s+", "", text)
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"bad token at {text[pos:]!r}")
-        kind, cid, sign = match.groups()
-        tokens.append(GaussToken(kind, int(cid), 1 if sign == "+" else -1))
-        pos = match.end()
-    return tuple(tokens)
+    end = _COMPONENT_RE.match(text).end()
+    if end < len(text):
+        raise ParseError(f"bad token at {text[end:]!r}")
+    try:
+        return tuple([
+            GaussToken(kind, int(cid), 1 if sign == "+" else -1)
+            for kind, cid, sign in _TOKEN_RE.findall(text)
+        ])
+    except ValueError:  # int() refuses ids past the interpreter's digit limit
+        raise ParseError("crossing id has too many digits") from None
 
 
 def parse_gauss(text: str) -> LinkDiagram:
@@ -80,20 +81,14 @@ def parse_gauss(text: str) -> LinkDiagram:
     next_arc = 0
     for comp in components:
         k = len(comp)
-        if k == 0:
-            next_arc += 1
-            continue
-        base = next_arc
         for j, tok in enumerate(comp):
-            in_arc = base + (j - 1) % k
-            out_arc = base + j
             seen = passages.setdefault(tok.crossing_id, {})
             if tok.kind in seen:
                 raise ParseError(
                     f"crossing {tok.crossing_id} has two {tok.kind} passages"
                 )
-            seen[tok.kind] = (tok.sign, in_arc, out_arc)
-        next_arc += k
+            seen[tok.kind] = (tok.sign, next_arc + (j - 1) % k, next_arc + j)
+        next_arc += max(k, 1)
     crossings = {}
     for cid, seen in sorted(passages.items()):
         if "O" not in seen or "U" not in seen:

@@ -14,6 +14,8 @@ the sub-biquandle they generate.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .bilinear import BilinearSpec, checked_tables
 from .biquandle import FiniteBiquandle
 from .gauss import LinkDiagram, crossing_relations
@@ -185,7 +187,8 @@ def phi_bb(diagram: LinkDiagram, spec: BilinearSpec) -> BBPolynomial:
     """Sum over colorings of q^|image| z^|span(image)|, the image being
     the sub-biquandle generated by the coloring.
 
-    Each distinct seed (set of colors) is worked out once.  Its image is
+    The colorings are tallied by seed (set of colors), and each distinct
+    seed is worked out once and counted with its tally.  Its image is
     built from the images of its sorted prefixes: a color already in the
     prefix image leaves it as it is, and a new one extends the closed
     prefix image, so only pairs with a new element are computed.  Each
@@ -194,28 +197,23 @@ def phi_bb(diagram: LinkDiagram, spec: BilinearSpec) -> BBPolynomial:
     for the call only.
     """
     target = checked_tables(spec)
-    terms: dict[tuple[int, int], int] = {}
-    by_seed: dict[frozenset[int], tuple[int, int]] = {}
+    terms: Counter[tuple[int, int]] = Counter()
     by_image: dict[frozenset[int], tuple[int, int]] = {}
     grown: dict[tuple[frozenset[int], int], frozenset[int]] = {}
-    for coloring in enumerate_colorings(diagram, target):
-        seed = frozenset(coloring)
-        key = by_seed.get(seed)
+    for seed, count in Counter(map(frozenset, enumerate_colorings(diagram, target))).items():
+        image = frozenset()
+        for color in sorted(seed):
+            if color not in image:
+                step = (image, color)
+                if step not in grown:
+                    grown[step] = subbiquandle_closure(target, (color,), image)
+                image = grown[step]
+        key = by_image.get(image)
         if key is None:
-            image = frozenset()
-            for color in sorted(seed):
-                if color not in image:
-                    step = (image, color)
-                    if step not in grown:
-                        grown[step] = subbiquandle_closure(target, (color,), image)
-                    image = grown[step]
-            key = by_image.get(image)
-            if key is None:
-                # Each operation's output is a Z_n-combination of its
-                # inputs, so the image spans the same submodule as the
-                # colors of any seed that generates it.
-                vectors = {target.carrier[i] for i in seed}
-                key = by_image[image] = (len(image), span_size(vectors, spec.n, spec.m))
-            by_seed[seed] = key
-        terms[key] = terms.get(key, 0) + 1
+            # Each operation's output is a Z_n-combination of its
+            # inputs, so the image spans the same submodule as the
+            # colors of any seed that generates it.
+            vectors = {target.carrier[i] for i in seed}
+            key = by_image[image] = (len(image), span_size(vectors, spec.n, spec.m))
+        terms[key] += count
     return BBPolynomial(terms)

@@ -27,9 +27,13 @@ def carrier_bound() -> int:
     raw = os.environ.get("BBQ_CARRIER_BOUND")
     if not raw:
         return DEFAULT_CARRIER_BOUND
-    if not raw.isdecimal() or int(raw) < 1:
+    try:
+        bound = int(raw) if raw.isdecimal() else 0
+    except ValueError:  # int() refuses values past the interpreter's digit limit
+        raise ParseError(f"BBQ_CARRIER_BOUND has too many digits ({len(raw)})") from None
+    if bound < 1:
         raise ParseError(f"BBQ_CARRIER_BOUND must be a positive integer, got {raw!r}")
-    return int(raw)
+    return bound
 
 
 def inv_scalar(x: int, n: int) -> int:

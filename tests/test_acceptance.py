@@ -17,6 +17,7 @@ from bilbiq import (
     counting_invariant,
     enumerate_colorings,
     format_spec,
+    inv_scalar,
     omega,
     parse_gauss,
     parse_spec,
@@ -227,7 +228,7 @@ def test_criterion_7_proposition_properties(capsys):
     ok = True
     for spec in emitted_specs():
         target = build_bilinear(spec)
-        n, diag = spec.n, (spec.beta_inv - spec.alpha) % spec.n
+        n, diag = spec.n, (inv_scalar(spec.beta, spec.n) - spec.alpha) % spec.n
         carrier = target.carrier
         for i, a in enumerate(carrier):
             # up(a,a) = alpha a + f(a,a) a must equal alpha a + (b^-1 - alpha) a
@@ -238,7 +239,7 @@ def test_criterion_7_proposition_properties(capsys):
             if target.low[target.lowbar[i][0]][0] != i:
                 ok = False
         # upbar rebuilt independently from alpha^-1 and omega f
-        if with_upbar_scalar(spec, spec.omega).upbar != target.upbar:
+        if with_upbar_scalar(spec, omega(spec.alpha, spec.beta, spec.n)).upbar != target.upbar:
             ok = False
     with capsys.disabled():
         report(7, ok)

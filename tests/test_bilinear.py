@@ -32,11 +32,6 @@ def spec_tuples(specs):
 
 
 class TestBilinearSpec:
-    def test_derived_constants(self, bb1_spec):
-        assert bb1_spec.alpha_inv == 3
-        assert bb1_spec.beta_inv == 3
-        assert bb1_spec.omega == 3
-
     def test_matrix_reduced_mod_n(self):
         s = BilinearSpec(4, 2, 3, 3, ((4, 6), (-2, 8)))
         assert s.matrix == ((0, 2), (2, 0))
@@ -172,11 +167,36 @@ class TestTriangleWalk:
         return len(calls)
 
     def test_verdict_calls(self, monkeypatch):
-        # 4 unit pairs mod 3, 3^3 forms each on the triangle and 3^6 on
-        # the full walk; either walk skips the same 50 members of accepted
-        # classes, the ones met after the first.
-        assert self.count_verdicts(monkeypatch, lambda: search(3, 3)) == 4 * 3**3 - 50
-        assert self.count_verdicts(monkeypatch, lambda: brute_force_search(3, 3)) == 4 * 3**6 - 50
+        # 4 unit pairs mod 3, each probed once by its form with every upper
+        # entry 0; the 2 with D = 0 pass and are walked, 3^3 forms each on
+        # the triangle and 3^6 on the full walk; either walk skips the same
+        # 50 members of accepted classes, the ones met after the first.
+        assert self.count_verdicts(monkeypatch, lambda: search(3, 3)) == 4 + 2 * 3**3 - 50
+        assert (
+            self.count_verdicts(monkeypatch, lambda: brute_force_search(3, 3))
+            == 4 + 2 * 3**6 - 50
+        )
+
+    @pytest.mark.parametrize("nm", [(3, 3), (4, 3), (8, 2), (12, 2), (5, 1)])
+    def test_refused_pair_refuses_every_form(self, nm):
+        # The walks skip a unit pair whose form with upper entries 0 and
+        # lower entries -D the verdict refuses.  Every form of such a pair
+        # must be refused too, and a sample must fail the exhaustive check.
+        n, m = nm
+
+        def probe(alpha, beta):
+            D = (pow(beta, -1, n) - alpha) % n
+            return tuple(
+                tuple(D if i == j else 0 if i < j else -D % n for j in range(m)) for i in range(m)
+            )
+
+        pairs = itertools.product(units(n), repeat=2)
+        refused = {(a, b) for a, b in pairs if not _bilinear_valid(n, m, a, b, probe(a, b))}
+        assert refused
+        forms = [f for f in brute_force_forms(n, m) if f[:2] in refused]
+        assert [f for f in forms if _bilinear_valid(n, m, *f)] == []
+        for f in random.Random(n * 10 + m).sample(forms, 4):
+            assert not check_axioms(_build_tables(n, m, *f)).all_pass
 
     @pytest.mark.parametrize(
         "n, m, pairs, forms",

@@ -382,6 +382,31 @@ class TestUsage:
         assert exc.value.code == 2
 
 
+class TestOverlongIntegers:
+    """An integer with more digits than int() converts on this interpreter
+    is a usage error, not a traceback."""
+
+    @pytest.fixture
+    def digits(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter converts integers of any length")
+        return "7" * (limit + 1)
+
+    def test_gauss_crossing_id(self, capsys, digits):
+        code, out, err = invoke(
+            capsys, "invariant", "--gauss", f"O{digits}+U{digits}+", "--spec", "3,2,2,2,[[0,1],[2,0]]"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: crossing id has too many digits\n"
+
+    def test_carrier_bound(self, capsys, monkeypatch, digits):
+        monkeypatch.setenv("BBQ_CARRIER_BOUND", digits)
+        code, out, err = invoke(capsys, "search", "--n", "3", "--m", "2")
+        assert (code, out) == (2, "")
+        assert err == f"error: BBQ_CARRIER_BOUND has too many digits ({len(digits)})\n"
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "env, argv",

@@ -68,6 +68,23 @@ class TestParseGauss:
         with pytest.raises(ParseError):
             parse_gauss("O1+O1+U1+")
 
+    @pytest.mark.parametrize(
+        "code, error, message",
+        [
+            ("O1+X2+", ParseError, "bad token at 'X2+'"),
+            ("O1U1", ParseError, "bad token at 'O1U1'"),
+            (" O1+ U2+\tx", ParseError, "bad token at 'x'"),
+            ("O1+O1+U1+", ParseError, "crossing 1 has two O passages"),
+            ("O1+U2+O2+", UnmatchedCrossing, "crossing 1 lacks an O or U passage"),
+            ("O1+U1-", SignMismatch, "crossing 1 has mismatched signs"),
+        ],
+    )
+    def test_error_messages(self, code, error, message):
+        with pytest.raises(error) as info:
+            parse_gauss(code)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
 
 class TestPrintGauss:
     @pytest.mark.parametrize(
