@@ -14,8 +14,8 @@ the diagonal only; `brute_force_search` walks both.
 
 from __future__ import annotations
 
-import ast
 import itertools
+import re
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -27,7 +27,8 @@ from .modular import Matrix, carrier_bound, check_module, inv_scalar, reduce_mat
 
 @dataclass(frozen=True)
 class BilinearSpec:
-    """The tuple (n, m, alpha, beta, A); alpha and beta must be units mod n."""
+    """The tuple (n, m, alpha, beta, A); alpha and beta must be units mod n.
+    alpha, beta and the entries of A are stored reduced mod n."""
 
     n: int
     m: int
@@ -36,6 +37,8 @@ class BilinearSpec:
     matrix: Matrix
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha", self.alpha % self.n)
+        object.__setattr__(self, "beta", self.beta % self.n)
         object.__setattr__(self, "matrix", reduce_matrix(self.matrix, self.n))
         if len(self.matrix) != self.m:
             raise InvariantViolation(
@@ -131,15 +134,16 @@ def _rows(flat, m):
 def _classify(n, m, cells_of, exclude_symplectic):
     """One accepted spec per congruence class met among the candidate
     forms of each unit pair (alpha, beta), reported by the class minimum,
-    symplectic ones dropped if asked, ordered by (alpha, beta, row-major
-    A).  A candidate has the diagonal D = beta^-1 - alpha and, for each
-    i < j, a pair (A_ij, A_ji) from cells_of(D); one walk tries every
-    such choice, for each unit pair whose form with every upper entry 0
-    the verdict accepts (a refused one refuses the pair).  Each
-    candidate is decided on its own by `_bilinear_valid`, with no table,
-    and only an accepted one has its class closed: the verdict is exact
-    and a basis change is an isomorphism, so a rejected class is
-    rejected member by member.
+    ordered by (alpha, beta, row-major A).  Symplectic specs are left out
+    if asked by skipping the pair (1, 1): an accepted spec meets the
+    axiom-4 rule, so it is symplectic iff alpha = beta = 1.  A candidate
+    has the diagonal D = beta^-1 - alpha and, for each i < j, a pair
+    (A_ij, A_ji) from cells_of(D); one walk tries every such choice, for
+    each unit pair whose form with every upper entry 0 the verdict
+    accepts (a refused one refuses the pair).  Each candidate is decided
+    on its own by `_bilinear_valid`, with no table, and only an accepted
+    one has its class closed: the verdict is exact and a basis change is
+    an isomorphism, so a rejected class is rejected member by member.
     Raises what check_module raises, and CapacityExceeded if the unit
     pairs or the forms walked for one pair exceed carrier_bound().
     """
@@ -154,31 +158,30 @@ def _classify(n, m, cells_of, exclude_symplectic):
             f"{forms} candidate forms for one unit pair on (Z_{n})^{m} exceed bound {carrier_bound()}"
         )
     found = []
-    for alpha in us:
-        for beta in us:
-            D = (inv_scalar(beta, n) - alpha) % n
-            flat = [D] * (m * m)
-            for ij, ji in upper:
-                flat[ij], flat[ji] = 0, -D % n
-            # This form meets rule conditions 1 and 2 by construction, so
-            # the verdict can refuse it only on c*D = 0 or on the entry
-            # condition for D (-D passes iff D does), and every form of
-            # the pair shares both: a refused pair is skipped unwalked.
-            if not _bilinear_valid(n, m, alpha, beta, _rows(flat, m)):
+    for alpha, beta in itertools.product(us, repeat=2):
+        if exclude_symplectic and alpha == beta == 1:
+            continue
+        D = (inv_scalar(beta, n) - alpha) % n
+        flat = [D] * (m * m)
+        for ij, ji in upper:
+            flat[ij], flat[ji] = 0, -D % n
+        # This form meets rule conditions 1 and 2 by construction, so
+        # the verdict can refuse it only on c*D = 0 or on the entry
+        # condition for D (-D passes iff D does), and every form of
+        # the pair shares both: a refused pair is skipped unwalked.
+        if not _bilinear_valid(n, m, alpha, beta, _rows(flat, m)):
+            continue
+        seen = set()  # every member of the accepted classes met so far
+        # One choice list per cell above the diagonal; m = 1 builds none.
+        for combo in itertools.product(*(cells_of(D) for _ in upper)):
+            for (ij, ji), (e, f) in zip(upper, combo):
+                flat[ij], flat[ji] = e, f
+            A = tuple(flat)
+            if A in seen or not _bilinear_valid(n, m, alpha, beta, _rows(A, m)):
                 continue
-            seen = set()  # every member of the accepted classes met so far
-            # One choice list per cell above the diagonal; m = 1 builds none.
-            for combo in itertools.product(*(cells_of(D) for _ in upper)):
-                for (ij, ji), (e, f) in zip(upper, combo):
-                    flat[ij], flat[ji] = e, f
-                A = tuple(flat)
-                if A in seen or not _bilinear_valid(n, m, alpha, beta, _rows(A, m)):
-                    continue
-                cls = _congruence_class(A, n, m)
-                seen |= cls
-                found.append(BilinearSpec(n, m, alpha, beta, _rows(min(cls), m)))
-    if exclude_symplectic:
-        found = [s for s in found if not is_symplectic(s)]
+            cls = _congruence_class(A, n, m)
+            seen |= cls
+            found.append(BilinearSpec(n, m, alpha, beta, _rows(min(cls), m)))
     return sorted(found, key=lambda s: (s.alpha, s.beta, s.matrix))
 
 
@@ -198,6 +201,22 @@ def brute_force_search(n: int, m: int, exclude_symplectic: bool = True) -> list[
     return _classify(n, m, lambda D: list(itertools.product(range(n), repeat=2)), exclude_symplectic)
 
 
+# The spec text: four fields, then [ rows ], each row [ ... ] with no
+# nested brackets, and whitespace around brackets and commas; int() then
+# reads each field and entry, whitespace around it included.
+_SPEC_RE = re.compile(
+    r"([^,]*),([^,]*),([^,]*),([^,]*),\s*\[((?:\s*\[[^][]*\]\s*,)*\s*\[[^][]*\]\s*)\]\s*"
+)
+_ROW_RE = re.compile(r"\[([^][]*)\]")
+
+
+def _ints(parts, message: str) -> tuple[int, ...]:
+    try:
+        return tuple(map(int, parts))
+    except ValueError:  # also past the interpreter's digit limit
+        raise ParseError(message) from None
+
+
 def format_spec(spec: BilinearSpec) -> str:
     """Render `n,m,alpha,beta,[[a11,...],...]` with no whitespace."""
     rows = ",".join("[" + ",".join(str(e) for e in row) + "]" for row in spec.matrix)
@@ -205,25 +224,16 @@ def format_spec(spec: BilinearSpec) -> str:
 
 
 def parse_spec(text: str) -> BilinearSpec:
-    """Parse the spec text form produced by format_spec."""
-    parts = text.strip().split(",", 4)
-    if len(parts) != 5:
+    """Parse the spec text form produced by format_spec: one match of the
+    grammar, then every field and entry read by int()."""
+    match = _SPEC_RE.fullmatch(text)
+    if not match:
         raise ParseError(f"expected n,m,alpha,beta,[[...]] in {text!r}")
-    try:
-        n, m, alpha, beta = (int(p) for p in parts[:4])
-    except ValueError as exc:
-        raise ParseError(f"non-integer field in {text!r}") from exc
-    try:
-        A = ast.literal_eval(parts[4].strip())
-    except (ValueError, SyntaxError) as exc:
-        raise ParseError(f"bad matrix literal in {text!r}") from exc
-    if not (
-        isinstance(A, list)
-        and len(A) == m
-        and all(isinstance(r, list) and len(r) == m for r in A)
-        and all(type(e) is int for r in A for e in r)  # not bool, a subclass of int
-    ):
-        raise ParseError(f"matrix in {text!r} is not {m}x{m} integer rows")
+    n, m, alpha, beta = _ints(match.group(1, 2, 3, 4), f"non-integer field in {text!r}")
+    shape = f"matrix in {text!r} is not {m}x{m} integer rows"
+    A = tuple(_ints(row.split(","), shape) for row in _ROW_RE.findall(match[5]))
+    if len(A) != m or any(len(r) != m for r in A):
+        raise ParseError(shape)
     if n < 2 or m < 1:
         raise ParseError(f"need n >= 2 and m >= 1 in {text!r}")
-    return BilinearSpec(n, m, alpha % n, beta % n, tuple(tuple(r) for r in A))
+    return BilinearSpec(n, m, alpha, beta, A)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import ParseError, SignMismatch, UnknownLink, UnmatchedCrossing
 
 _TOKEN_RE = re.compile(r"([OU])(\d+)([+-])")
-_COMPONENT_RE = re.compile(r"(?:[OU]\d+[+-])*")
+_COMPONENT_RE = re.compile(r"\s*(?:[OU]\d+[+-]\s*)*")
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,6 @@ class CrossingRelation:
 
 
 def _parse_component(text: str) -> tuple[GaussToken, ...]:
-    text = re.sub(r"\s+", "", text)
     end = _COMPONENT_RE.match(text).end()
     if end < len(text):
         raise ParseError(f"bad token at {text[end:]!r}")

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -35,6 +36,16 @@ class TestBilinearSpec:
     def test_matrix_reduced_mod_n(self):
         s = BilinearSpec(4, 2, 3, 3, ((4, 6), (-2, 8)))
         assert s.matrix == ((0, 2), (2, 0))
+
+    def test_units_reduced_mod_n(self):
+        # alpha = beta = 5 is the unit 1 mod 4: the same spec, the same
+        # tables (not an IndexError), and symplectic.
+        raw = BilinearSpec(4, 2, 5, 5, ((0, 1), (3, 0)))
+        reduced = BilinearSpec(4, 2, 1, 1, ((0, 1), (3, 0)))
+        assert (raw.alpha, raw.beta) == (1, 1)
+        assert raw == reduced
+        assert build_bilinear(raw) == build_bilinear(reduced)
+        assert is_symplectic(raw)
 
     def test_bad_diagonal(self):
         with pytest.raises(InvariantViolation):
@@ -167,15 +178,27 @@ class TestTriangleWalk:
         return len(calls)
 
     def test_verdict_calls(self, monkeypatch):
-        # 4 unit pairs mod 3, each probed once by its form with every upper
-        # entry 0; the 2 with D = 0 pass and are walked, 3^3 forms each on
-        # the triangle and 3^6 on the full walk; either walk skips the same
-        # 50 members of accepted classes, the ones met after the first.
-        assert self.count_verdicts(monkeypatch, lambda: search(3, 3)) == 4 + 2 * 3**3 - 50
+        # With symplectic forms kept: 4 unit pairs mod 3, each probed once
+        # by its form with every upper entry 0; the 2 with D = 0 pass and
+        # are walked, 3^3 forms each on the triangle and 3^6 on the full
+        # walk; either walk skips the same 50 members of accepted classes,
+        # the ones met after the first.
         assert (
-            self.count_verdicts(monkeypatch, lambda: brute_force_search(3, 3))
+            self.count_verdicts(monkeypatch, lambda: search(3, 3, exclude_symplectic=False))
+            == 4 + 2 * 3**3 - 50
+        )
+        assert (
+            self.count_verdicts(
+                monkeypatch, lambda: brute_force_search(3, 3, exclude_symplectic=False)
+            )
             == 4 + 2 * 3**6 - 50
         )
+        # Leaving symplectic forms out skips the pair (1, 1) unprobed: 3
+        # probes, then (2, 2) alone is walked.  Its accepted forms are the
+        # 3^3 alternating ones, the zero form and 26 of rank 2, so two
+        # classes: either walk skips 25 members of them.
+        assert self.count_verdicts(monkeypatch, lambda: search(3, 3)) == 3 + 3**3 - 25
+        assert self.count_verdicts(monkeypatch, lambda: brute_force_search(3, 3)) == 3 + 3**6 - 25
 
     @pytest.mark.parametrize("nm", [(3, 3), (4, 3), (8, 2), (12, 2), (5, 1)])
     def test_refused_pair_refuses_every_form(self, nm):
@@ -497,6 +520,35 @@ class TestSpecText:
         ):
             assert format_spec(parse_spec(text)) == text
 
+    def test_round_trip_table(self):
+        # Every spec `table --max-cardinality 63` prints: m >= 2, n^m <= 63.
+        specs = [
+            spec
+            for n in range(2, 8)
+            for m in range(2, 6)
+            if n**m <= 63
+            for spec in search(n, m)
+        ]
+        assert len(specs) == 25
+        for spec in specs:
+            assert parse_spec(format_spec(spec)) == spec
+
+    @pytest.mark.parametrize(
+        "text, spec",
+        [
+            (" 4 , 2 , 3 , 3 , [ [ 0 , 2 ] , [ 2 , 0 ] ] ", (4, 2, 3, 3, ((0, 2), (2, 0)))),
+            ("\t4,2,3,3,[[0,2],\n [2,0]]\n", (4, 2, 3, 3, ((0, 2), (2, 0)))),
+            ("+4,+2,+3,+3,[[+0,+2],[+2,+0]]", (4, 2, 3, 3, ((0, 2), (2, 0)))),
+            ("4,2,-1,7,[[0,-2],[-6,0]]", (4, 2, 3, 3, ((0, 2), (2, 0)))),
+            ("4,2,3,3,[[0,1_0],[2,0]]", (4, 2, 3, 3, ((0, 2), (2, 0)))),
+            ("\u0664,2,3,3,[[0,\u0662],[2,0]]", (4, 2, 3, 3, ((0, 2), (2, 0)))),
+            ("4,2,3,3,[[00,02],[2,0]]", (4, 2, 3, 3, ((0, 2), (2, 0)))),
+        ],
+        ids=["spaces", "tab-newline", "plus", "negative", "underscore", "arabic-indic", "zeros"],
+    )
+    def test_accepted_text(self, text, spec):
+        assert spec_tuples([parse_spec(text)]) == [spec]
+
     @pytest.mark.parametrize(
         "bad",
         [
@@ -507,8 +559,28 @@ class TestSpecText:
             "1,2,1,1,[[0,0],[0,0]]",
             "3,2,2,2,[[0,True],[2,0]]",
             "3,2,2,2,[[0,1],[False,0]]",
+            "3,2,2,2,[[0x1,0],[0,0]]",
+            "3,2,2,2,[[0b1,0],[0,0]]",
+            "3,2,2,2,[[0,0,],[0,0]]",
+            "3,2,2,2,[[0,0],[0,0],]",
+            "3,2,2,2,[[0,[0]],[0,0]]",
+            "3,2,2,2,[[],[0,0]]",
+            "3,2,2,2,[[1 0,0],[0,0]]",
+            "3,2,2,2,[[0,0],[0,0]] x",
+            "3,2,2,2,[]",
         ],
     )
     def test_parse_errors(self, bad):
         with pytest.raises(ParseError):
             parse_spec(bad)
+
+    @pytest.mark.parametrize(
+        "template", ["3,2,2,2,[[{},0],[0,0]]", "{},2,2,2,[[0,0],[0,0]]"], ids=["entry", "field"]
+    )
+    def test_overlong_number(self, template):
+        # int() refuses more digits than the interpreter's limit.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not 0 < limit < 5000:
+            pytest.skip("this interpreter converts 5,000-digit integers")
+        with pytest.raises(ParseError):
+            parse_spec(template.format("7" * 5000))

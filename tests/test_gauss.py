@@ -74,6 +74,9 @@ class TestParseGauss:
             ("O1+X2+", ParseError, "bad token at 'X2+'"),
             ("O1U1", ParseError, "bad token at 'O1U1'"),
             (" O1+ U2+\tx", ParseError, "bad token at 'x'"),
+            # Whitespace may stand between tokens only, not inside one.
+            ("O1 2+U12+", ParseError, "bad token at 'O1 2+U12+'"),
+            ("O 1+U1 +", ParseError, "bad token at 'O 1+U1 +'"),
             ("O1+O1+U1+", ParseError, "crossing 1 has two O passages"),
             ("O1+U2+O2+", UnmatchedCrossing, "crossing 1 lacks an O or U passage"),
             ("O1+U1-", SignMismatch, "crossing 1 has mismatched signs"),
