@@ -16,36 +16,37 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .biquandle import FiniteBiquandle, _bilinear_axiom4, _bilinear_valid, _build_tables
 from .biquandle import _entry_admissible, omega
-from .errors import CapacityExceeded, InvariantViolation, ParseError
+from .errors import CapacityExceeded, DimensionMismatch, InvariantViolation, ParseError
 from .modular import Matrix, carrier_bound, check_module, inv_scalar, reduce_matrix, units
 
 
-@dataclass(frozen=True)
-class BilinearSpec:
-    """The tuple (n, m, alpha, beta, A); alpha and beta must be units mod n.
-    alpha, beta and the entries of A are stored reduced mod n."""
+class BilinearSpec(NamedTuple("BilinearSpec", [
+    ("n", int), ("m", int), ("alpha", int), ("beta", int), ("matrix", Matrix),
+])):
+    """The tuple (n, m, alpha, beta, A) with n >= 2 and m >= 1; alpha and
+    beta must be units mod n.  alpha, beta and the entries of A are
+    stored reduced mod n, also by `_make` and `_replace`."""
 
-    n: int
-    m: int
-    alpha: int
-    beta: int
-    matrix: Matrix
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", self.alpha % self.n)
-        object.__setattr__(self, "beta", self.beta % self.n)
-        object.__setattr__(self, "matrix", reduce_matrix(self.matrix, self.n))
-        if len(self.matrix) != self.m:
-            raise InvariantViolation(
-                f"form matrix is {len(self.matrix)}x{len(self.matrix)}, expected {self.m}x{self.m}"
-            )
+    def __new__(cls, n, m, alpha, beta, matrix):
+        if n < 2 or m < 1:
+            raise DimensionMismatch(f"need n >= 2 and m >= 1, got ({n}, {m})")
+        alpha, beta, matrix = alpha % n, beta % n, reduce_matrix(matrix, n)
+        if len(matrix) != m:
+            raise InvariantViolation(f"form matrix is {len(matrix)}x{len(matrix)}, expected {m}x{m}")
         # NotInvertible unless alpha, then beta, is a unit mod n.
-        omega(self.alpha, self.beta, self.n)
+        omega(alpha, beta, n)
+        return super().__new__(cls, n, m, alpha, beta, matrix)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def validate(self) -> None:
         """Check the structural constraints on the diagonal and entries."""

@@ -12,10 +12,10 @@ Composite superscripts/subscripts read left to right, e.g. a^{bc} is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, repeat
 from operator import iadd, itemgetter, sub
+from typing import NamedTuple
 
 from .errors import (
     CapacityExceeded,
@@ -106,15 +106,13 @@ class FiniteBiquandle:
         return f"FiniteBiquandle(size={self.size})"
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(NamedTuple):
     axiom: int
     equation: str
     elements: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Pass flags for the four axioms, with one witness per failure."""
 
     violations: tuple[

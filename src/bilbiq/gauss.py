@@ -11,7 +11,7 @@ exactly how virtual links arise.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError, SignMismatch, UnknownLink, UnmatchedCrossing
 
@@ -19,15 +19,13 @@ _TOKEN_RE = re.compile(r"([OU])(\d+)([+-])")
 _COMPONENT_RE = re.compile(r"\s*(?:[OU]\d+[+-]\s*)*")
 
 
-@dataclass(frozen=True)
-class GaussToken:
+class GaussToken(NamedTuple):
     kind: str  # "O" or "U"
     crossing_id: int
     sign: int  # +1 or -1
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     """One classical crossing with its four incident semiarc ids."""
 
     sign: int
@@ -37,15 +35,13 @@ class Crossing:
     over_out: int
 
 
-@dataclass(frozen=True)
-class LinkDiagram:
+class LinkDiagram(NamedTuple):
     components: tuple[tuple[GaussToken, ...], ...]
     crossings: dict[int, Crossing]
     n_semiarcs: int
 
 
-@dataclass(frozen=True)
-class CrossingRelation:
+class CrossingRelation(NamedTuple):
     """output = op(x, y) where x, y are input semiarc ids."""
 
     output: int

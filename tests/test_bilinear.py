@@ -7,7 +7,10 @@ import pytest
 
 from bilbiq import (
     BilinearSpec,
+    CapacityExceeded,
+    DimensionMismatch,
     InvariantViolation,
+    NotInvertible,
     ParseError,
     brute_force_search,
     build_bilinear,
@@ -46,6 +49,27 @@ class TestBilinearSpec:
         assert raw == reduced
         assert build_bilinear(raw) == build_bilinear(reduced)
         assert is_symplectic(raw)
+
+    @pytest.mark.parametrize("n, m", [(0, 1), (1, 1), (-3, 1), (3, 0)])
+    def test_module_checked_first(self, n, m):
+        # Checked before any arithmetic: n = 0 was a ZeroDivisionError,
+        # and n = 1, n = -3 and m = 0 were accepted.
+        with pytest.raises(DimensionMismatch, match=rf"^need n >= 2 and m >= 1, got \({n}, {m}\)$"):
+            BilinearSpec(n, m, 1, 1, ((0,),) * m)
+
+    def test_replace_and_make_check(self):
+        # The tuple constructors go through the same checks as the class.
+        spec = BilinearSpec(3, 2, 2, 2, ((0, 1), (2, 0)))
+        assert spec._replace(alpha=5, beta=-4) == spec
+        assert BilinearSpec._make((3, 2, 5, -1, ((3, 4), (-1, 0)))) == spec
+        with pytest.raises(NotInvertible):
+            spec._replace(alpha=0)
+
+    def test_carrier_bound_not_checked(self):
+        # (Z_10^6)^3 is past the carrier bound; only checked_tables refuses it.
+        spec = BilinearSpec(10**6, 3, 1, 1, ZERO3)
+        with pytest.raises(CapacityExceeded):
+            checked_tables(spec)
 
     def test_bad_diagonal(self):
         with pytest.raises(InvariantViolation):

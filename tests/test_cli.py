@@ -407,6 +407,20 @@ class TestOverlongIntegers:
         assert err == f"error: BBQ_CARRIER_BOUND has too many digits ({len(digits)})\n"
 
 
+def test_import_leaves_out_dataclasses_and_inspect():
+    # Every CLI call is a fresh process, and these two cost about 4 ms of
+    # its import; -S keeps site from loading either.
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, bilbiq.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "env, argv",
