@@ -76,12 +76,16 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_color(args) -> int:
-    if args.limit is not None and args.limit < 0:
-        raise ParseError(f"--limit must be >= 0, got {args.limit}")
+    limit = args.limit
+    if limit is not None:
+        if limit < 0:
+            raise ParseError(f"--limit must be >= 0, got {limit}")
+        # islice refuses a stop past sys.maxsize; no walk lists that many.
+        limit = min(limit, sys.maxsize)
     diagram = _load_diagram(args)
     target = bilinear.checked_tables(bilinear.parse_spec(args.spec))
     colorings = invariant._colorings(diagram, target)
-    for coloring in itertools.islice(colorings, args.limit):
+    for coloring in itertools.islice(colorings, limit):
         print(
             " ".join(
                 "(" + ",".join(str(c) for c in target.carrier[i]) + ")"

@@ -26,6 +26,11 @@ def bb1_spec():
     return parse_spec("4,2,3,3,[[0,2],[2,0]]")
 
 
+def torus_2(k: int) -> str:
+    """Gauss code of the torus knot T(2, k), k odd."""
+    return "".join(f"{'OU'[j % 2]}{j % k + 1}+" for j in range(2 * k))
+
+
 def all_assignments_colorings(diagram: LinkDiagram, target: FiniteBiquandle):
     """Exhaustive coloring oracle: test every total assignment against
     every crossing relation.  Independent of the propagating search."""

@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from bilbiq.cli import run
+from conftest import torus_2
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -178,6 +179,13 @@ class TestInvariant:
         assert code == 0
         assert out.split("\n")[1] == "hom = 16"
 
+    def test_torus_2_21_on_x27(self, capsys):
+        # phi_BB's walk follows the crossings, so 21 of them take milliseconds
+        x27 = "3,3,2,2,[[0,0,0],[0,0,1],[0,2,0]]"
+        assert invoke_within_1s(capsys, "invariant", "--gauss", torus_2(21), "--spec", x27) == (
+            0, "phi = q z + 26 q^2 z^3\nhom = 27\n", ""
+        )
+
     def test_unknown_link(self, capsys):
         code, _, err = invoke(capsys, "invariant", "--link", "nope", "--spec", self.BB1)
         assert code == 2
@@ -223,6 +231,28 @@ class TestColor:
         lines = out.strip().split("\n")
         assert len(lines) == 4
         assert lines[-1] == "... (13 more)"
+
+    def test_limit_lists_lexicographic_first(self, capsys):
+        # On the Hopf link the order-free walk of counts and phi_BB meets
+        # (0,0,3,1) before (0,0,1,3); color keeps the sorted order.
+        code, out, _ = invoke(
+            capsys, "color", "--link", "hopf_pos", "--spec", self.BB1, "--limit", "3"
+        )
+        assert code == 0
+        assert out == (
+            "(0,0) (0,0) (0,0) (0,0)\n"
+            "(0,0) (0,0) (0,1) (0,3)\n"
+            "(0,0) (0,0) (0,2) (0,2)\n"
+            "... (157 more)\n"
+        )
+
+    def test_limit_past_maxsize_lists_all(self, capsys):
+        huge = str(sys.maxsize * 10**4)
+        spec = "3,2,2,2,[[0,1],[2,0]]"
+        code, out, err = invoke(capsys, "color", "--link", "trefoil", "--spec", spec, "--limit", huge)
+        assert (code, err) == (0, "")
+        assert out == invoke(capsys, "color", "--link", "trefoil", "--spec", spec)[1]
+        assert len(out.splitlines()) == 9
 
     def test_limit_streams(self, capsys):
         # three free components on 27 elements have 27^3 colorings, and

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,15 +19,22 @@ from bilbiq import (
     subbiquandle_closure,
     symplectic_quandle,
 )
+from bilbiq.invariant import _colorings
 from conftest import (
     all_assignments_colorings,
     invalid_shapes,
     random_tables,
     reference_closure,
     reference_phi,
+    torus_2,
 )
 
 X27 = "3,3,2,2,[[0,0,0],[0,0,1],[0,2,0]]"
+
+
+def order_free(diagram, target) -> Counter:
+    """The colorings that counting_invariant and phi_bb walk, as a multiset."""
+    return Counter(_colorings(diagram, target, order_free=True))
 
 
 class TestEnumerateColorings:
@@ -110,9 +118,9 @@ class TestEnumerateColorings:
             assert parse_gauss(print_gauss(diagram)) == diagram
             for target in targets:
                 if target.size**diagram.n_semiarcs <= 2 * 10**5:
-                    assert enumerate_colorings(diagram, target) == all_assignments_colorings(
-                        diagram, target
-                    ), (code, target.size)
+                    want = all_assignments_colorings(diagram, target)
+                    assert enumerate_colorings(diagram, target) == want, (code, target.size)
+                    assert order_free(diagram, target) == Counter(want), (code, target.size)
 
     def test_targets_without_bijective_rows_match_oracle(self):
         # An inverse row or column may list several values or none, so the
@@ -134,7 +142,60 @@ class TestEnumerateColorings:
                 if target.size**diagram.n_semiarcs <= 10**5:
                     want = all_assignments_colorings(diagram, target)
                     assert enumerate_colorings(diagram, target) == want, (code, target.size)
+                    assert order_free(diagram, target) == Counter(want), (code, target.size)
                     assert counting_invariant(diagram, target) == len(want)
+
+
+class TestOrderFreeWalk:
+    """counting_invariant and phi_bb take the colorings in an order that
+    depends on the diagram; as a multiset they are the lexicographic
+    walk's."""
+
+    @pytest.mark.parametrize("name", ["trefoil", "trefoil_mirror", "figure8"])
+    def test_moves_and_front_kinks(self, bb1_spec, name):
+        # An R2 poke in both orientations and an R1 kink, appended to the
+        # code, and a kink of either kind at its front.
+        knot = BUILTIN_CODES[name]
+        codes = [
+            "O9+U9+" + knot,
+            "U9-O9-" + knot,
+            knot + "O9-U9-",
+            knot + "U7+U8-O7+O8-",
+            knot + "U8-U7+O7+O8-O9+U9+",
+        ]
+        targets = [alexander_biquandle(3, 1, 2), build_bilinear(bb1_spec)]
+        targets.append(build_bilinear(parse_spec("3,2,2,2,[[0,1],[2,0]]")))
+        for target in targets:
+            want = counting_invariant(builtin_link(name), target)
+            for code in codes:
+                diagram = parse_gauss(code)
+                got = order_free(diagram, target)
+                assert got == Counter(enumerate_colorings(diagram, target)), (code, target.size)
+                assert sum(got.values()) == want, (code, target.size)
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    def test_torus_knots_on_x27(self, k):
+        diagram, target = parse_gauss(torus_2(k)), build_bilinear(parse_spec(X27))
+        want = enumerate_colorings(diagram, target)
+        assert len(want) == 27
+        assert order_free(diagram, target) == Counter(want)
+
+    def test_torus_2_21_on_x27(self):
+        # The lexicographic walk's work grows about tenfold with every two
+        # crossings of these knots (7,317 settle calls for T(2,3), 791,721
+        # for T(2,7)), so it cannot count this one.
+        diagram = parse_gauss(torus_2(21))
+        assert counting_invariant(diagram, build_bilinear(parse_spec(X27))) == 27
+        assert phi_bb(diagram, parse_spec(X27)).to_string() == "q z + 26 q^2 z^3"
+
+    def test_enumerate_stays_lexicographic(self, bb1_spec):
+        # On the Hopf link the order-free walk lists (0,0,3,1) before
+        # (0,0,1,3); enumerate_colorings keeps the sorted order.
+        diagram, target = builtin_link("hopf_pos"), build_bilinear(bb1_spec)
+        got = enumerate_colorings(diagram, target)
+        walked = list(_colorings(diagram, target, order_free=True))
+        assert walked != got
+        assert got == sorted(walked) == all_assignments_colorings(diagram, target)
 
 
 class TestBBPolynomial:
