@@ -19,7 +19,7 @@ from bilbiq import (
     subbiquandle_closure,
     symplectic_quandle,
 )
-from bilbiq.invariant import _colorings
+from bilbiq import invariant
 from conftest import (
     all_assignments_colorings,
     invalid_shapes,
@@ -32,9 +32,9 @@ from conftest import (
 X27 = "3,3,2,2,[[0,0,0],[0,0,1],[0,2,0]]"
 
 
-def order_free(diagram, target) -> Counter:
+def column_walk(diagram, target) -> Counter:
     """The colorings that counting_invariant and phi_bb walk, as a multiset."""
-    return Counter(_colorings(diagram, target, order_free=True))
+    return Counter(c for batch in invariant._column_walk(diagram, target) for c in zip(*batch))
 
 
 class TestEnumerateColorings:
@@ -58,6 +58,7 @@ class TestEnumerateColorings:
             got = enumerate_colorings(diagram, target)
             assert got == sorted(got)
             assert got == all_assignments_colorings(diagram, target)
+            assert column_walk(diagram, target) == Counter(got)
 
     def test_fox_coloring_counts(self):
         # s = 1, t = -1 gives the dihedral quandle x^y = 2y - x on Z_n
@@ -85,6 +86,7 @@ class TestEnumerateColorings:
         got = enumerate_colorings(diagram, target)
         assert len(got) == 9
         assert got == all_assignments_colorings(diagram, target)
+        assert column_walk(diagram, target) == Counter(got)
 
     def test_long_kink_chain(self):
         # 2398 semiarcs: deeper than the interpreter's recursion limit
@@ -120,7 +122,7 @@ class TestEnumerateColorings:
                 if target.size**diagram.n_semiarcs <= 2 * 10**5:
                     want = all_assignments_colorings(diagram, target)
                     assert enumerate_colorings(diagram, target) == want, (code, target.size)
-                    assert order_free(diagram, target) == Counter(want), (code, target.size)
+                    assert column_walk(diagram, target) == Counter(want), (code, target.size)
 
     def test_targets_without_bijective_rows_match_oracle(self):
         # An inverse row or column may list several values or none, so the
@@ -142,14 +144,14 @@ class TestEnumerateColorings:
                 if target.size**diagram.n_semiarcs <= 10**5:
                     want = all_assignments_colorings(diagram, target)
                     assert enumerate_colorings(diagram, target) == want, (code, target.size)
-                    assert order_free(diagram, target) == Counter(want), (code, target.size)
+                    assert column_walk(diagram, target) == Counter(want), (code, target.size)
                     assert counting_invariant(diagram, target) == len(want)
 
 
 class TestOrderFreeWalk:
-    """counting_invariant and phi_bb take the colorings in an order that
-    depends on the diagram; as a multiset they are the lexicographic
-    walk's."""
+    """counting_invariant and phi_bb take the colorings from the column
+    walk, in batches and in an order that depends on the diagram; as a
+    multiset they are the lexicographic walk's."""
 
     @pytest.mark.parametrize("name", ["trefoil", "trefoil_mirror", "figure8"])
     def test_moves_and_front_kinks(self, bb1_spec, name):
@@ -169,7 +171,7 @@ class TestOrderFreeWalk:
             want = counting_invariant(builtin_link(name), target)
             for code in codes:
                 diagram = parse_gauss(code)
-                got = order_free(diagram, target)
+                got = column_walk(diagram, target)
                 assert got == Counter(enumerate_colorings(diagram, target)), (code, target.size)
                 assert sum(got.values()) == want, (code, target.size)
 
@@ -178,7 +180,7 @@ class TestOrderFreeWalk:
         diagram, target = parse_gauss(torus_2(k)), build_bilinear(parse_spec(X27))
         want = enumerate_colorings(diagram, target)
         assert len(want) == 27
-        assert order_free(diagram, target) == Counter(want)
+        assert column_walk(diagram, target) == Counter(want)
 
     def test_torus_2_21_on_x27(self):
         # The lexicographic walk's work grows about tenfold with every two
@@ -189,13 +191,38 @@ class TestOrderFreeWalk:
         assert phi_bb(diagram, parse_spec(X27)).to_string() == "q z + 26 q^2 z^3"
 
     def test_enumerate_stays_lexicographic(self, bb1_spec):
-        # On the Hopf link the order-free walk lists (0,0,3,1) before
+        # On the Hopf link the column walk lists (0,0,3,1) before
         # (0,0,1,3); enumerate_colorings keeps the sorted order.
         diagram, target = builtin_link("hopf_pos"), build_bilinear(bb1_spec)
         got = enumerate_colorings(diagram, target)
-        walked = list(_colorings(diagram, target, order_free=True))
+        walked = [c for batch in invariant._column_walk(diagram, target) for c in zip(*batch)]
         assert walked != got
         assert got == sorted(walked) == all_assignments_colorings(diagram, target)
+
+    @pytest.mark.parametrize("width", [1, 2, 5, 16])
+    def test_pieces_match_one_batch(self, monkeypatch, bb1_spec, width):
+        # Branches, and inversions with several fits (the non-biquandle
+        # tables), widen the batch past these widths, so the walk goes
+        # in pieces.
+        rng = random.Random(20261020)
+        targets = [build_bilinear(bb1_spec), alexander_biquandle(3, 2, 1), *invalid_shapes()[1:]]
+        targets += [random_tables(rng, 4) for _ in range(4)]
+        codes = ["", ";;", "O1+U1+", "U1-;O1-", "O1+U2+;O2+U1+", BUILTIN_CODES["trefoil"]]
+        cases = [(parse_gauss(code), target) for code in codes for target in targets]
+        whole = [column_walk(*case) for case in cases]
+        monkeypatch.setattr(invariant, "_WIDTH", width)
+        for case, want in zip(cases, whole):
+            batches = list(invariant._column_walk(*case))
+            assert all(0 < len(batch[0]) <= width for batch in batches)
+            assert Counter(c for batch in batches for c in zip(*batch)) == want
+            assert counting_invariant(*case) == sum(want.values())
+
+    def test_first_piece_of_eleven_free_components(self):
+        # 27^11 colorings: the first piece comes without the rest listed.
+        diagram, target = parse_gauss(";" * 10), build_bilinear(parse_spec(X27))
+        batch = next(invariant._column_walk(diagram, target))
+        assert len(batch) == 11
+        assert len(set(zip(*batch))) == len(batch[0]) == invariant._WIDTH
 
 
 class TestBBPolynomial:
