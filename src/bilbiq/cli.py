@@ -10,7 +10,7 @@ import argparse
 import itertools
 import sys
 
-from . import bilinear, biquandle, gauss, invariant
+from . import bilinear, biquandle
 from .errors import BilbiqError, CapacityExceeded, ParseError
 from .modular import carrier_bound
 
@@ -20,7 +20,11 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
 
-def _load_diagram(args) -> gauss.LinkDiagram:
+def _load_diagram(args):
+    # gauss and invariant are imported by the commands that color a link
+    # only, so the other commands never compile them.
+    from . import gauss
+
     if args.link is not None:
         return gauss.builtin_link(args.link)
     return gauss.parse_gauss(args.gauss)
@@ -67,6 +71,8 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_invariant(args) -> int:
+    from . import invariant
+
     diagram = _load_diagram(args)
     spec = bilinear.parse_spec(args.spec)
     poly = invariant.phi_bb(diagram, spec)
@@ -76,6 +82,8 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_color(args) -> int:
+    from . import invariant
+
     limit = args.limit
     if limit is not None:
         if limit < 0:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, compress, islice, repeat
-from operator import eq, itemgetter
+from operator import eq, itemgetter, or_
 
 from .bilinear import BilinearSpec, checked_tables
 from .biquandle import FiniteBiquandle
@@ -321,62 +321,113 @@ class BBPolynomial:
         return " + ".join(rendered)
 
 
+def _members(mask: int) -> list[int]:
+    """The carrier indices whose bits are set in mask, ascending."""
+    members = []
+    while mask:
+        bit = mask & -mask
+        members.append(bit.bit_length() - 1)
+        mask ^= bit
+    return members
+
+
+def _grower(target: FiniteBiquandle):
+    """grow(image, color): the closure of a closed image with one more
+    color, as bit masks (bit c is carrier index c).
+
+    Each round pairs the new elements with every member, so only pairs
+    with a new element are computed.  pair[a*N + b] holds the mask of
+    the eight products of a and b, both orders under all four tables;
+    it is filled the first time either order is met, so a pair costs
+    eight table reads once per grower, not once per closure.  The list
+    lives as long as the grower does."""
+    size = target.size
+    up, upbar, low, lowbar = target.up, target.upbar, target.low, target.lowbar
+    pair = [0] * (size * size)
+
+    def grow(image: int, color: int) -> int:
+        members = _members(image)
+        mask = image | 1 << color
+        frontier = [color]
+        while frontier:
+            members += frontier
+            new = 0
+            for a in frontier:
+                row = a * size
+                for b in members:
+                    p = pair[row + b]
+                    if not p:
+                        p = pair[row + b] = pair[b * size + a] = (
+                            1 << up[a][b] | 1 << up[b][a] | 1 << upbar[a][b] | 1 << upbar[b][a]
+                            | 1 << low[a][b] | 1 << low[b][a] | 1 << lowbar[a][b] | 1 << lowbar[b][a]
+                        )
+                    new |= p
+            frontier = _members(new & ~mask)
+            mask |= new
+        return mask
+
+    return grow
+
+
 def subbiquandle_closure(target: FiniteBiquandle, seed, closed=frozenset()) -> frozenset[int]:
     """Smallest subset of carrier indices containing `seed` and `closed`
     and closed under all four operations.  `closed` must already be
-    closed, so only pairs with an element outside it are computed."""
-    result = set(closed)
-    frontier = [a for a in set(seed) if a not in result]
-    result.update(frontier)
-    tables = (target.up, target.upbar, target.low, target.lowbar)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in list(result):
-                for table in tables:
-                    for c in (table[a][b], table[b][a]):
-                        if c not in result:
-                            result.add(c)
-                            fresh.append(c)
-        frontier = fresh
-    return frozenset(result)
+    closed: the seed colors are added one at a time by `_grower`, so
+    only pairs with an element outside it are computed."""
+    grow = _grower(target)
+    image = 0
+    for c in closed:
+        image |= 1 << c
+    for color in seed:
+        if not image >> color & 1:
+            image = grow(image, color)
+    return frozenset(_members(image))
 
 
 def phi_bb(diagram: LinkDiagram, spec: BilinearSpec) -> BBPolynomial:
     """Sum over colorings of q^|image| z^|span(image)|, the image being
     the sub-biquandle generated by the coloring.
 
-    The colorings of each `_column_walk` batch are tallied by seed (set
-    of colors) in one `Counter` pass over its rows, and each distinct
-    seed is worked out once and counted with its tally.  Its image is
-    built from the images of its sorted prefixes: a color already in the
-    prefix image leaves it as it is, and a new one extends the closed
-    prefix image, so only pairs with a new element are computed.  Each
-    (prefix image, color) step is kept, and so is (|image|, |span|) per
-    image: seeds with one image share one span count.  The memos live
-    for the call only.
+    Seeds (sets of colors) and images are int bit masks, bit c for
+    carrier index c.  Each `_column_walk` batch is tallied by seed in
+    one `Counter`, its masks OR-ed together column by column in C
+    passes, and each distinct seed is worked out once and counted with
+    its tally.  Its image is grown from the images of its prefixes in
+    ascending color order: a color already in the prefix image leaves
+    it as it is, and a new one extends the closed prefix image through
+    `_grower`.  Each step is kept under the mask of prefix image and
+    color, as the closure of that set does not depend on how it splits,
+    and (|image|, |span|) is kept per image: seeds with one image share
+    one span count.  The memos and the grower's pair list live for the
+    call only.
     """
     target = checked_tables(spec)
-    terms: Counter[tuple[int, int]] = Counter()
-    by_image: dict[frozenset[int], tuple[int, int]] = {}
-    grown: dict[tuple[frozenset[int], int], frozenset[int]] = {}
-    seeds: Counter[frozenset[int]] = Counter()
+    bits = [1 << c for c in range(target.size)]
+    seeds: Counter[int] = Counter()
     for batch in _column_walk(diagram, target):
-        seeds.update(map(frozenset, zip(*batch)))
-    for seed, count in seeds.items():
-        image = frozenset()
-        for color in sorted(seed):
-            if color not in image:
-                step = (image, color)
-                if step not in grown:
-                    grown[step] = subbiquandle_closure(target, (color,), image)
-                image = grown[step]
+        masks = map(bits.__getitem__, batch[0])
+        for col in batch[1:]:
+            masks = list(map(or_, masks, map(bits.__getitem__, col)))
+        seeds.update(masks)
+    grow = _grower(target)
+    grown: dict[int, int] = {}
+    by_image: dict[int, tuple[int, int]] = {}
+    terms: Counter[tuple[int, int]] = Counter()
+    for seed, tally in seeds.items():
+        image, rest = 0, seed
+        while rest:
+            bit = rest & -rest
+            step = image | bit
+            if step not in grown:
+                grown[step] = grow(image, bit.bit_length() - 1)
+            image = grown[step]
+            rest &= ~image
         key = by_image.get(image)
         if key is None:
             # Each operation's output is a Z_n-combination of its
             # inputs, so the image spans the same submodule as the
             # colors of any seed that generates it.
-            vectors = {target.carrier[i] for i in seed}
-            key = by_image[image] = (len(image), span_size(vectors, spec.n, spec.m))
-        terms[key] += count
+            vectors = {target.carrier[i] for i in _members(seed)}
+            key = by_image[image] = (image.bit_count(), span_size(vectors, spec.n, spec.m))
+        terms[key] += tally
     return BBPolynomial(terms)

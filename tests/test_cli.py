@@ -1,3 +1,4 @@
+import json
 import os
 import signal
 import subprocess
@@ -449,6 +450,62 @@ def test_import_leaves_out_dataclasses_and_inspect():
         timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_import_leaves_out_gauss_and_invariant():
+    # table, search, verify and matrix color no link, so a process that
+    # runs one of them compiles neither module.
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, bilbiq.cli; print(sorted({'bilbiq.gauss', 'bilbiq.invariant'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+# What the package exported when it imported every submodule eagerly.
+EXPORTS = {
+    "bilinear": "BilinearSpec brute_force_search build_bilinear format_spec is_symplectic"
+                " parse_spec search",
+    "biquandle": "AxiomReport AxiomViolation FiniteBiquandle alexander_biquandle"
+                 " block_matrix_decode block_matrix_encode check_axioms is_quandle omega"
+                 " symplectic_quandle",
+    "errors": "BilbiqError CapacityExceeded DimensionMismatch IndexOutOfRange InvariantViolation"
+              " NotAntisymmetric NotInvertible ParseError ShapeError SignMismatch UnknownLink"
+              " UnmatchedCrossing",
+    "gauss": "BUILTIN_CODES Crossing CrossingRelation GaussToken LinkDiagram builtin_link"
+             " crossing_relations parse_gauss print_gauss",
+    "invariant": "BBPolynomial counting_invariant enumerate_colorings phi_bb subbiquandle_closure",
+    "modular": "enumerate_module inv_scalar units",
+}
+
+
+def test_exports_resolve_to_their_submodules():
+    # A fresh process, so the gauss and invariant names resolve on first
+    # access: each package attribute is read before its submodule is.
+    script = (
+        "import importlib, json, sys\n"
+        "import bilbiq\n"
+        "exports = json.loads(sys.argv[1])\n"
+        "names = [n for names in exports.values() for n in names.split()]\n"
+        "print(sorted(bilbiq.__all__) == sorted(names))\n"
+        "print(bilbiq.gauss is importlib.import_module('bilbiq.gauss'))\n"
+        "print([f'{module}.{name}' for module, names in exports.items() for name in names.split()\n"
+        "       if getattr(bilbiq, name) is not getattr(importlib.import_module('bilbiq.' + module), name)])\n"
+        "from bilbiq import phi_bb\n"
+        "print(phi_bb is bilbiq.invariant.phi_bb)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(EXPORTS)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\nTrue\n[]\nTrue\n", "")
 
 
 class TestUsageErrors:

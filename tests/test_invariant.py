@@ -30,6 +30,7 @@ from conftest import (
 )
 
 X27 = "3,3,2,2,[[0,0,0],[0,0,1],[0,2,0]]"
+Z7S = "7,2,1,1,[[0,1],[6,0]]"
 
 
 def column_walk(diagram, target) -> Counter:
@@ -274,6 +275,10 @@ class TestPhiBB:
         [
             (";;", "4,2,3,3,[[0,2],[2,0]]"),
             ("O1+U2+;O2+U1+", "4,2,3,3,[[0,2],[2,0]]"),
+            # Many seeds that share prefixes, with images grown over
+            # several rounds of closure.
+            (";;;", "4,2,3,3,[[0,2],[2,0]]"),
+            ("O1+U2+;O2+U1+;;", "4,2,3,3,[[0,2],[2,0]]"),
             (";", X27),
             (BUILTIN_CODES["hopf_pos"], X27),
             (";", "5,2,4,4,[[0,0],[0,0]]"),
@@ -284,12 +289,19 @@ class TestPhiBB:
         diagram = parse_gauss(code)
         assert phi_bb(diagram, parse_spec(spec)).terms == reference_phi(diagram, parse_spec(spec))
 
+    def test_free_component_on_z7_symplectic(self):
+        # 49 colorings of one semiarc; every nonzero color generates the
+        # whole carrier in several rounds of closure.
+        poly = phi_bb(parse_gauss(";"), parse_spec(Z7S))
+        assert poly.to_string() == "q z + 48 q z^7 + 336 q^2 z^7 + 2016 q^48 z^49"
+
 
 class TestSubbiquandleClosure:
     def test_extending_a_closed_set(self, bb1_spec):
         # phi_bb grows images one color at a time from closed prefixes
         rng = random.Random(20261019)
-        for target in (build_bilinear(bb1_spec), build_bilinear(parse_spec(X27))):
+        for spec in (bb1_spec, parse_spec(X27), parse_spec(Z7S)):
+            target = build_bilinear(spec)
             for _ in range(40):
                 old = rng.sample(range(target.size), rng.randint(0, 3))
                 new = rng.sample(range(target.size), rng.randint(0, 3))
