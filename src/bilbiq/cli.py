@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 
 from . import bilinear, biquandle
@@ -84,23 +83,19 @@ def cmd_invariant(args) -> int:
 def cmd_color(args) -> int:
     from . import invariant
 
-    limit = args.limit
-    if limit is not None:
-        if limit < 0:
-            raise ParseError(f"--limit must be >= 0, got {limit}")
-        # islice refuses a stop past sys.maxsize; no walk lists that many.
-        limit = min(limit, sys.maxsize)
+    if args.limit is not None and args.limit < 0:
+        raise ParseError(f"--limit must be >= 0, got {args.limit}")
     diagram = _load_diagram(args)
     target = bilinear.checked_tables(bilinear.parse_spec(args.spec))
-    colorings = invariant._colorings(diagram, target)
-    for coloring in itertools.islice(colorings, limit):
+    shown = invariant.enumerate_colorings(diagram, target, args.limit)
+    for coloring in shown:
         print(
             " ".join(
                 "(" + ",".join(str(c) for c in target.carrier[i]) + ")"
                 for i in coloring
             )
         )
-    rest = sum(1 for _ in colorings)
+    rest = invariant.counting_invariant(diagram, target) - len(shown)
     if rest:
         print(f"... ({rest} more)")
     return EXIT_OK

@@ -49,84 +49,6 @@ def _touching(diagram: LinkDiagram, target: FiniteBiquandle) -> list[list[tuple]
     return touching
 
 
-def _colorings(diagram: LinkDiagram, target: FiniteBiquandle):
-    """Yield every coloring in lexicographic order, depth-first over an
-    explicit stack of partial colorings; `enumerate_colorings` describes
-    how a set semiarc settles the relations it touches."""
-    size = target.size
-    touching = _touching(diagram, target)
-
-    def settle(colors: list, arc: int, value: int) -> bool:
-        """Set colors[arc] = value, then resolve every relation left with
-        one open semiarc; False on a conflict."""
-        pending = [(arc, value)]
-        while pending:
-            arc, value = pending.pop()
-            if colors[arc] is not None:
-                if colors[arc] != value:
-                    return False
-                continue
-            colors[arc] = value
-            for x, y, out, table, by_x, by_y in touching[arc]:
-                cx, cy, co = colors[x], colors[y], colors[out]
-                if cx is not None and cy is not None:
-                    pending.append((out, table[cx][cy]))
-                    continue
-                # parse_gauss ends each semiarc at one token, so x != y; an
-                # open input that is also the output (a kink) reads inverse[size].
-                if cx is not None and (co is not None or out == y):
-                    inverse = by_y.get(cx)
-                    if inverse is None:
-                        inverse = by_y[cx] = _inverse(table[cx], size)
-                    a, fits = y, inverse[size if out == y else co]
-                elif cy is not None and (co is not None or out == x):
-                    inverse = by_x.get(cy)
-                    if inverse is None:
-                        inverse = by_x[cy] = _inverse([row[cy] for row in table], size)
-                    a, fits = x, inverse[size if out == x else co]
-                else:
-                    continue  # two open semiarcs
-                if not fits:
-                    return False
-                if len(fits) == 1:
-                    pending.append((a, fits[0]))
-        return True
-
-    stack = [[None] * diagram.n_semiarcs]
-    while stack:
-        colors = stack.pop()
-        if None not in colors:
-            yield tuple(colors)
-            continue
-        arc = colors.index(None)
-        for value in reversed(range(size)):
-            child = colors.copy()
-            if settle(child, arc, value):
-                stack.append(child)
-
-
-def enumerate_colorings(diagram: LinkDiagram, target: FiniteBiquandle) -> list[tuple[int, ...]]:
-    """All colorings, as semiarc-indexed tuples of carrier indices, in
-    lexicographic order.
-
-    Depth-first over an explicit stack of partial colorings: branch on
-    the lowest open semiarc and push its values in descending order.
-    Every semiarc below the branch semiarc is fixed in the whole
-    subtree, so the result list comes out lexicographic.  `color`
-    streams the same walk.  Counts and phi_BB need no order and take
-    the colorings in batches from `_column_walk`.
-
-    Setting a semiarc settles every relation it leaves with one open
-    semiarc.  When that semiarc is x or y and nothing else, its possible
-    values are one list lookup: the inverse of the relation's table
-    column or row, built in one pass the first time the call needs it.
-    The lists hold every solution, so targets whose rows and columns
-    are not bijections are enumerated exactly.  A kink, whose open input
-    is also the output, reads the fixed points of that column or row.
-    """
-    return list(_colorings(diagram, target))
-
-
 # The most candidates a batch of `_column_walk` holds: a step that would
 # widen a batch past it walks the wider batch in pieces of this width.
 _WIDTH = 4096
@@ -272,12 +194,31 @@ def _column_walk(diagram: LinkDiagram, target: FiniteBiquandle):
             yield [cols[c] for c in column]
 
 
+def enumerate_colorings(
+    diagram: LinkDiagram, target: FiniteBiquandle, limit: int | None = None
+) -> list[tuple[int, ...]]:
+    """The colorings, as semiarc-indexed tuples of carrier indices, in
+    lexicographic order: all of them, or the `limit` least.
+
+    The colorings come from `_column_walk`, whose order follows the
+    diagram's crossings, and are sorted here.  With a limit only the
+    least are kept, by `heapq.nsmallest`, so memory stays bounded by the
+    walk's batch width and the limit, not by the number of colorings.
+    """
+    colorings = (coloring for batch in _column_walk(diagram, target) for coloring in zip(*batch))
+    if limit is None:
+        return sorted(colorings)
+    import heapq  # here only, so counts and phi_BB never load it
+
+    return heapq.nsmallest(limit, colorings)
+
+
 def counting_invariant(diagram: LinkDiagram, target: FiniteBiquandle) -> int:
     """Number of colorings of the diagram by the target biquandle: the
     sum of the widths of the `_column_walk` batches, with no coloring
-    built.  The walk follows the diagram crossing by crossing, so
-    T(2, 21) on the 27-element X27 counts in about 3 ms, where the
-    lexicographic walk settles 791,721 times for T(2, 7) alone.
+    built.  The walk follows the diagram crossing by crossing, not the
+    numbering of its semiarcs, so T(2, 21) on the 27-element X27 counts
+    in about 3 ms.
     """
     return sum(len(batch[0]) for batch in _column_walk(diagram, target))
 

@@ -12,7 +12,6 @@ from bilbiq import (
     FiniteBiquandle,
     LinkDiagram,
     crossing_relations,
-    enumerate_colorings,
     enumerate_module,
     inv_scalar,
     omega,
@@ -42,6 +41,83 @@ def all_assignments_colorings(diagram: LinkDiagram, target: FiniteBiquandle):
             for table, x, y, output in relations
         ):
             out.append(assignment)
+    return out
+
+
+def reference_colorings(diagram: LinkDiagram, target: FiniteBiquandle) -> list:
+    """Every coloring in lexicographic order, by a depth-first search
+    over an explicit stack of partial colorings: branch on the lowest
+    open semiarc, its values pushed in descending order, so the
+    colorings come out sorted.  Setting a semiarc settles each relation
+    it leaves with one open semiarc: both inputs set give the output,
+    and a single open input with a set output (or a kink, whose open
+    input is the output) is solved by the inverse of the table's row or
+    column, kept per line.  Reaches the R-move and torus-knot codes the
+    exhaustive oracle cannot afford; independent of the column walk."""
+    size = target.size
+
+    def inverse(line):
+        # fits[z] lists every i with line[i] == z, fits[size] the fixed
+        # points.
+        fits = [[] for _ in range(size + 1)]
+        for i, z in enumerate(line):
+            fits[z].append(i)
+            if z == i:
+                fits[size].append(i)
+        return fits
+
+    # Per operation, the inverses of its rows and of its columns, by line.
+    lines = {op: ({}, {}) for op in ("up", "upbar", "low", "lowbar")}
+    touching = [[] for _ in range(diagram.n_semiarcs)]
+    for rel in crossing_relations(diagram):
+        entry = (rel.x, rel.y, rel.output, getattr(target, rel.op), *lines[rel.op])
+        for arc in {rel.x, rel.y, rel.output}:
+            touching[arc].append(entry)
+
+    def settle(colors, arc, value):
+        pending = [(arc, value)]
+        while pending:
+            arc, value = pending.pop()
+            if colors[arc] is not None:
+                if colors[arc] != value:
+                    return False
+                continue
+            colors[arc] = value
+            for x, y, out, table, rows, cols in touching[arc]:
+                cx, cy, co = colors[x], colors[y], colors[out]
+                if cx is not None and cy is not None:
+                    pending.append((out, table[cx][cy]))
+                    continue
+                # x != y, as each semiarc ends at one token; an open input
+                # that is also the output (a kink) reads the fixed points.
+                if cx is not None and (co is not None or out == y):
+                    if cx not in rows:
+                        rows[cx] = inverse(table[cx])
+                    a, found = y, rows[cx][size if out == y else co]
+                elif cy is not None and (co is not None or out == x):
+                    if cy not in cols:
+                        cols[cy] = inverse([row[cy] for row in table])
+                    a, found = x, cols[cy][size if out == x else co]
+                else:
+                    continue
+                if not found:
+                    return False
+                if len(found) == 1:
+                    pending.append((a, found[0]))
+        return True
+
+    out = []
+    stack = [[None] * diagram.n_semiarcs]
+    while stack:
+        colors = stack.pop()
+        if None not in colors:
+            out.append(tuple(colors))
+            continue
+        arc = colors.index(None)
+        for value in reversed(range(size)):
+            child = colors.copy()
+            if settle(child, arc, value):
+                stack.append(child)
     return out
 
 
@@ -247,13 +323,14 @@ def reference_closure(target: FiniteBiquandle, seed) -> set:
 def reference_phi(diagram: LinkDiagram, spec) -> dict:
     """phi_BB's terms {(|Im|, |Span|): count}: per coloring the naive
     closure of its colors, and the size of their span as every
-    Z_n-combination of their vectors, cached per seed set only.
-    Independent of subbiquandle_closure and span_size, and of the
+    Z_n-combination of their vectors, cached per seed set only.  The
+    colorings come from reference_colorings, so this is independent of
+    the column walk, of subbiquandle_closure and span_size, and of the
     index-table build."""
     n, m = spec.n, spec.m
     target = reference_build_tables(n, m, spec.alpha, spec.beta, spec.matrix)
     terms, cache = {}, {}
-    for coloring in enumerate_colorings(diagram, target):
+    for coloring in reference_colorings(diagram, target):
         seed = frozenset(coloring)
         if seed not in cache:
             vectors = [target.carrier[i] for i in seed]

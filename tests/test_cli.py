@@ -7,8 +7,9 @@ import tracemalloc
 
 import pytest
 
+from bilbiq import BUILTIN_CODES, build_bilinear, invariant, parse_gauss, parse_spec
 from bilbiq.cli import run
-from conftest import torus_2
+from conftest import reference_colorings, torus_2
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -234,8 +235,8 @@ class TestColor:
         assert lines[-1] == "... (13 more)"
 
     def test_limit_lists_lexicographic_first(self, capsys):
-        # On the Hopf link the order-free walk of counts and phi_BB meets
-        # (0,0,3,1) before (0,0,1,3); color keeps the sorted order.
+        # On the Hopf link the column walk meets (0,0,3,1) before
+        # (0,0,1,3); color keeps the three least in sorted order.
         code, out, _ = invoke(
             capsys, "color", "--link", "hopf_pos", "--spec", self.BB1, "--limit", "3"
         )
@@ -246,6 +247,39 @@ class TestColor:
             "(0,0) (0,0) (0,2) (0,2)\n"
             "... (157 more)\n"
         )
+
+    @pytest.mark.parametrize(
+        "code, spec",
+        [
+            (BUILTIN_CODES["hopf_pos"], BB1),
+            # On BB1 each coloring of the poked trefoil follows from its
+            # first semiarc, so the walk meets them in order there.
+            ("O1+U2+O3+U1+O2+U3+U7+U8-O7+O8-", "4,2,1,3,[[2,1],[1,2]]"),
+        ],
+    )
+    def test_lists_every_coloring_lexicographic(self, capsys, code, spec):
+        # The column walk meets these colorings out of lexicographic
+        # order; color sorts them.
+        diagram, target = parse_gauss(code), build_bilinear(parse_spec(spec))
+        want = reference_colorings(diagram, target)
+        walked = [c for batch in invariant._column_walk(diagram, target) for c in zip(*batch)]
+        assert walked != want
+        status, out, err = invoke(capsys, "color", "--gauss", code, "--spec", spec)
+        assert (status, err) == (0, "")
+        assert out == "".join(
+            " ".join("(" + ",".join(map(str, target.carrier[i])) + ")" for i in coloring) + "\n"
+            for coloring in want
+        )
+
+    def test_limit_one_on_torus_2_9(self, capsys):
+        # 27 colorings, found crossing by crossing: the least is the
+        # constant one, and the rest are counted, not listed.
+        x27 = "3,3,2,2,[[0,0,0],[0,0,1],[0,2,0]]"
+        code, out, _ = invoke_within_1s(
+            capsys, "color", "--gauss", torus_2(9), "--spec", x27, "--limit", "1"
+        )
+        assert code == 0
+        assert out == " ".join(["(0,0,0)"] * 18) + "\n... (26 more)\n"
 
     def test_limit_past_maxsize_lists_all(self, capsys):
         huge = str(sys.maxsize * 10**4)

@@ -25,6 +25,7 @@ from conftest import (
     invalid_shapes,
     random_tables,
     reference_closure,
+    reference_colorings,
     reference_phi,
     torus_2,
 )
@@ -59,7 +60,14 @@ class TestEnumerateColorings:
             got = enumerate_colorings(diagram, target)
             assert got == sorted(got)
             assert got == all_assignments_colorings(diagram, target)
+            assert reference_colorings(diagram, target) == got
             assert column_walk(diagram, target) == Counter(got)
+
+    def test_limit_takes_the_least(self, bb1_spec):
+        diagram, target = builtin_link("hopf_pos"), build_bilinear(bb1_spec)
+        full = enumerate_colorings(diagram, target)
+        for limit in (0, 1, 3, len(full), len(full) + 1, 10**30):
+            assert enumerate_colorings(diagram, target, limit) == full[:limit], limit
 
     def test_fox_coloring_counts(self):
         # s = 1, t = -1 gives the dihedral quandle x^y = 2y - x on Z_n
@@ -87,6 +95,7 @@ class TestEnumerateColorings:
         got = enumerate_colorings(diagram, target)
         assert len(got) == 9
         assert got == all_assignments_colorings(diagram, target)
+        assert reference_colorings(diagram, target) == got
         assert column_walk(diagram, target) == Counter(got)
 
     def test_long_kink_chain(self):
@@ -123,6 +132,7 @@ class TestEnumerateColorings:
                 if target.size**diagram.n_semiarcs <= 2 * 10**5:
                     want = all_assignments_colorings(diagram, target)
                     assert enumerate_colorings(diagram, target) == want, (code, target.size)
+                    assert reference_colorings(diagram, target) == want, (code, target.size)
                     assert column_walk(diagram, target) == Counter(want), (code, target.size)
 
     def test_targets_without_bijective_rows_match_oracle(self):
@@ -145,14 +155,16 @@ class TestEnumerateColorings:
                 if target.size**diagram.n_semiarcs <= 10**5:
                     want = all_assignments_colorings(diagram, target)
                     assert enumerate_colorings(diagram, target) == want, (code, target.size)
+                    assert reference_colorings(diagram, target) == want, (code, target.size)
                     assert column_walk(diagram, target) == Counter(want), (code, target.size)
                     assert counting_invariant(diagram, target) == len(want)
 
 
 class TestOrderFreeWalk:
-    """counting_invariant and phi_bb take the colorings from the column
-    walk, in batches and in an order that depends on the diagram; as a
-    multiset they are the lexicographic walk's."""
+    """counting_invariant, phi_bb and enumerate_colorings take the
+    colorings from the column walk, in batches and in an order that
+    depends on the diagram; as a multiset they are the lexicographic
+    reference's, and enumerate_colorings sorts them into its list."""
 
     @pytest.mark.parametrize("name", ["trefoil", "trefoil_mirror", "figure8"])
     def test_moves_and_front_kinks(self, bb1_spec, name):
@@ -173,27 +185,31 @@ class TestOrderFreeWalk:
             for code in codes:
                 diagram = parse_gauss(code)
                 got = column_walk(diagram, target)
-                assert got == Counter(enumerate_colorings(diagram, target)), (code, target.size)
+                ref = reference_colorings(diagram, target)
+                assert got == Counter(ref), (code, target.size)
+                assert enumerate_colorings(diagram, target) == ref, (code, target.size)
                 assert sum(got.values()) == want, (code, target.size)
 
     @pytest.mark.parametrize("k", [3, 5, 7])
     def test_torus_knots_on_x27(self, k):
         diagram, target = parse_gauss(torus_2(k)), build_bilinear(parse_spec(X27))
-        want = enumerate_colorings(diagram, target)
+        want = reference_colorings(diagram, target)
         assert len(want) == 27
         assert column_walk(diagram, target) == Counter(want)
+        assert enumerate_colorings(diagram, target) == want
 
     def test_torus_2_21_on_x27(self):
-        # The lexicographic walk's work grows about tenfold with every two
-        # crossings of these knots (7,317 settle calls for T(2,3), 791,721
-        # for T(2,7)), so it cannot count this one.
+        # The lexicographic reference's work grows about tenfold with every
+        # two crossings of these knots (7,317 settle calls for T(2,3),
+        # 791,721 for T(2,7)), so it cannot check this one: count and
+        # phi_BB are pinned.
         diagram = parse_gauss(torus_2(21))
         assert counting_invariant(diagram, build_bilinear(parse_spec(X27))) == 27
         assert phi_bb(diagram, parse_spec(X27)).to_string() == "q z + 26 q^2 z^3"
 
     def test_enumerate_stays_lexicographic(self, bb1_spec):
         # On the Hopf link the column walk lists (0,0,3,1) before
-        # (0,0,1,3); enumerate_colorings keeps the sorted order.
+        # (0,0,1,3); enumerate_colorings sorts its colorings.
         diagram, target = builtin_link("hopf_pos"), build_bilinear(bb1_spec)
         got = enumerate_colorings(diagram, target)
         walked = [c for batch in invariant._column_walk(diagram, target) for c in zip(*batch)]
