@@ -95,9 +95,12 @@ def cmd_color(args) -> int:
                 for i in coloring
             )
         )
-    rest = invariant.counting_invariant(diagram, target) - len(shown)
-    if rest:
-        print(f"... ({rest} more)")
+    # Only a list cut at the limit can leave colorings out, so only then
+    # is the link colored a second time, to count them.
+    if len(shown) == args.limit:
+        rest = invariant.counting_invariant(diagram, target) - len(shown)
+        if rest:
+            print(f"... ({rest} more)")
     return EXIT_OK
 
 

@@ -234,6 +234,35 @@ class TestColor:
         assert len(lines) == 4
         assert lines[-1] == "... (13 more)"
 
+    def test_counts_only_a_cut_list(self, capsys, monkeypatch):
+        # Without a limit, or with one past the 9 colorings, every
+        # coloring is shown, so color walks them once and counts none.
+        z3s = "3,2,2,2,[[0,1],[2,0]]"
+        every = (
+            "(0,0) (0,0) (0,0) (0,0) (0,0) (0,0)\n"
+            "(0,1) (0,2) (0,1) (0,2) (0,1) (0,2)\n"
+            "(0,2) (0,1) (0,2) (0,1) (0,2) (0,1)\n"
+            "(1,0) (2,0) (1,0) (2,0) (1,0) (2,0)\n"
+            "(1,1) (2,2) (1,1) (2,2) (1,1) (2,2)\n"
+            "(1,2) (2,1) (1,2) (2,1) (1,2) (2,1)\n"
+            "(2,0) (1,0) (2,0) (1,0) (2,0) (1,0)\n"
+            "(2,1) (1,2) (2,1) (1,2) (2,1) (1,2)\n"
+            "(2,2) (1,1) (2,2) (1,1) (2,2) (1,1)\n"
+        )
+
+        def no_count(diagram, target):
+            raise AssertionError("counted colorings that were all shown")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(invariant, "counting_invariant", no_count)
+            for limit in [(), ("--limit", "100")]:
+                assert invoke(capsys, "color", "--link", "trefoil", "--spec", z3s, *limit) == (
+                    0, every, ""
+                )
+        assert invoke(capsys, "color", "--link", "trefoil", "--spec", z3s, "--limit", "5") == (
+            0, "".join(every.splitlines(True)[:5]) + "... (4 more)\n", ""
+        )
+
     def test_limit_lists_lexicographic_first(self, capsys):
         # On the Hopf link the column walk meets (0,0,3,1) before
         # (0,0,1,3); color keeps the three least in sorted order.
@@ -500,6 +529,19 @@ def test_import_leaves_out_gauss_and_invariant():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
+def test_import_bilbiq_loads_no_submodule():
+    # Every exported name and submodule resolves on first access.
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import bilbiq, sys; print(sorted(m for m in sys.modules if m.startswith('bilbiq.')))"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 # What the package exported when it imported every submodule eagerly.
 EXPORTS = {
     "bilinear": "BilinearSpec brute_force_search build_bilinear format_spec is_symplectic"
@@ -518,19 +560,28 @@ EXPORTS = {
 
 
 def test_exports_resolve_to_their_submodules():
-    # A fresh process, so the gauss and invariant names resolve on first
-    # access: each package attribute is read before its submodule is.
+    # A fresh process, so every name and submodule resolves on first
+    # access: dir() is read before any of them, and each package
+    # attribute before its submodule.
     script = (
         "import importlib, json, sys\n"
         "import bilbiq\n"
+        "print(set(bilbiq.__all__) <= set(dir(bilbiq)))\n"
         "exports = json.loads(sys.argv[1])\n"
         "names = [n for names in exports.values() for n in names.split()]\n"
         "print(sorted(bilbiq.__all__) == sorted(names))\n"
-        "print(bilbiq.gauss is importlib.import_module('bilbiq.gauss'))\n"
+        "print([m for m in exports if getattr(bilbiq, m) is not importlib.import_module('bilbiq.' + m)])\n"
         "print([f'{module}.{name}' for module, names in exports.items() for name in names.split()\n"
         "       if getattr(bilbiq, name) is not getattr(importlib.import_module('bilbiq.' + module), name)])\n"
         "from bilbiq import phi_bb\n"
         "print(phi_bb is bilbiq.invariant.phi_bb)\n"
+        "star = {}\n"
+        "exec('from bilbiq import *', star)\n"
+        "print(sorted(star.keys() - {'__builtins__'}) == sorted(names))\n"
+        "try:\n"
+        "    bilbiq.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, json.dumps(EXPORTS)],
@@ -539,7 +590,10 @@ def test_exports_resolve_to_their_submodules():
         env={**os.environ, "PYTHONPATH": SRC},
         timeout=60,
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\nTrue\n[]\nTrue\n", "")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "True", "True", "[]", "[]", "True", "True", "module 'bilbiq' has no attribute 'no_such_name'"
+    ]
 
 
 class TestUsageErrors:
