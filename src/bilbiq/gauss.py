@@ -70,7 +70,12 @@ def parse_gauss(text: str) -> LinkDiagram:
     token (j+1) mod k; a zero-crossing component contributes one free
     semiarc.
     """
-    components = tuple(_parse_component(part) for part in text.split(";"))
+    return _diagram(tuple(_parse_component(part) for part in text.split(";")))
+
+
+def _diagram(components: tuple[tuple[GaussToken, ...], ...]) -> LinkDiagram:
+    """The diagram of parsed components, its semiarcs numbered
+    component by component as `parse_gauss` describes."""
     # passages[cid] = {kind: (sign, in_arc, out_arc)}
     passages: dict[int, dict[str, tuple[int, int, int]]] = {}
     next_arc = 0
@@ -94,6 +99,39 @@ def parse_gauss(text: str) -> LinkDiagram:
             raise SignMismatch(f"crossing {cid} has mismatched signs")
         crossings[cid] = Crossing(o_sign, u_in, u_out, o_in, o_out)
     return LinkDiagram(components, crossings, next_arc)
+
+
+def split_pieces(diagram: LinkDiagram) -> list[LinkDiagram]:
+    """The split pieces of a diagram: its components joined into classes
+    by shared crossings (union-find), in the order of each class's first
+    component.
+
+    Each piece is the diagram of its components' tokens alone, numbered
+    as `parse_gauss` numbers the code of those components, so no text is
+    printed or parsed.  A diagram of one piece is returned as it is, and
+    a diagram with no components has no pieces.
+    """
+    components = diagram.components
+    if len(components) == 1:
+        return [diagram]
+    root = list(range(len(components)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    first: dict[int, int] = {}  # crossing id -> component of its first passage
+    for i, comp in enumerate(components):
+        for tok in comp:
+            root[find(first.setdefault(tok.crossing_id, i))] = find(i)
+    pieces: dict[int, list] = {}
+    for i, comp in enumerate(components):
+        pieces.setdefault(find(i), []).append(comp)
+    if len(pieces) == 1:
+        return [diagram]
+    return [_diagram(tuple(comps)) for comps in pieces.values()]
 
 
 def print_gauss(diagram: LinkDiagram) -> str:

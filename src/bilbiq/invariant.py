@@ -16,11 +16,13 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, compress, islice, repeat
-from operator import eq, itemgetter, or_
+from math import prod
+from operator import eq, getitem, itemgetter, or_
 
 from .bilinear import BilinearSpec, checked_tables
 from .biquandle import FiniteBiquandle
-from .gauss import LinkDiagram, crossing_relations
+from .errors import CapacityExceeded
+from .gauss import LinkDiagram, crossing_relations, split_pieces
 from .modular import span_size
 
 
@@ -50,8 +52,17 @@ def _touching(diagram: LinkDiagram, target: FiniteBiquandle) -> list[list[tuple]
 
 
 # The most candidates a batch of `_column_walk` holds: a step that would
-# widen a batch past it walks the wider batch in pieces of this width.
+# widen a batch past it walks the wider batch in chunks of this width.
 _WIDTH = 4096
+# The most candidates one `_column_walk` makes, counted at every branch
+# and inversion that widens a batch, before it stops with
+# CapacityExceeded.  The largest walks of the tests, the CI and the
+# benchmark make 905,175 (the first chunk of eleven free components on
+# the 27-element X27), 551,880 (`color` of ';;;' on X27: 27 + 27^2 +
+# 27^3 + 27^4) and 756 candidates.  An unlimited `color` holds every
+# coloring it finds, at most one per candidate: stopped here, `color`
+# of ';;;;' on X27 peaks at 165 MB, against 323 MB at twice the bound.
+_WALK_BOUND = 2_000_000
 _BRANCH, _TABLE, _INVERT = range(3)
 
 
@@ -135,12 +146,16 @@ def _column_walk(diagram: LinkDiagram, target: FiniteBiquandle):
     looks up each candidate's fits in the lazily built `_inverse` lists
     and repeats the candidate once per fit, none dropping it.  A branch
     or inversion that would make a batch wider than _WIDTH walks the
-    wider batch in pieces of _WIDTH, depth-first, so no batch holds
-    more.  `parse_gauss` gives every diagram a semiarc, so the plan
-    opens with a branch: the first batch is the colors of one semiarc.
+    wider batch in chunks of _WIDTH, depth-first, so no batch holds
+    more.  The candidates each branch or inversion makes are counted
+    over the walk, from the first branch's colors on, and the walk
+    raises CapacityExceeded once they pass _WALK_BOUND.  `parse_gauss`
+    gives every diagram a semiarc, so the plan opens with a branch: the
+    first batch is the colors of one semiarc.
     """
     plan, column = _plan(diagram, target)
     size = target.size
+    made = size
     stack = [(1, [iter(range(size))])]  # (next step, iterators over the rest of a batch)
     while stack:
         i, rest = stack[-1]
@@ -156,7 +171,7 @@ def _column_walk(diagram: LinkDiagram, target: FiniteBiquandle):
             kind = step[0]
             if kind == _TABLE:
                 _, x, y, table, out = step
-                outs = map(tuple.__getitem__, map(table.__getitem__, cols[x]), cols[y])
+                outs = map(getitem, map(table.__getitem__, cols[x]), cols[y])
                 if out is None:
                     cols.append(list(outs))
                     continue
@@ -175,7 +190,7 @@ def _column_walk(diagram: LinkDiagram, target: FiniteBiquandle):
                 for v in set(cols[known]).difference(inverses):
                     inverses[v] = _inverse(table[v] if by_row else map(itemgetter(v), table), size)
                 slots = repeat(size) if out is None else cols[out]
-                fits = list(map(list.__getitem__, map(inverses.__getitem__, cols[known]), slots))
+                fits = list(map(getitem, map(inverses.__getitem__, cols[known]), slots))
                 counts = list(map(len, fits))
                 new = chain.from_iterable(fits)
                 if counts.count(1) == width:
@@ -184,6 +199,9 @@ def _column_walk(diagram: LinkDiagram, target: FiniteBiquandle):
             wide = [chain.from_iterable(map(repeat, col, counts)) for col in cols]
             wide.append(new)
             width = sum(counts)
+            made += width
+            if made > _WALK_BOUND:
+                raise CapacityExceeded(f"coloring walk exceeds bound of {_WALK_BOUND} candidates")
             if width > _WIDTH:
                 stack.append((i, wide))
                 break
@@ -204,7 +222,12 @@ def enumerate_colorings(
     diagram's crossings, and are sorted here.  With a limit only the
     least are kept, by `heapq.nsmallest`, so memory stays bounded by the
     walk's batch width and the limit, not by the number of colorings.
+    The walk covers the whole diagram, so it stops at _WALK_BOUND
+    candidates.  A diagram with no semiarcs has one coloring, the empty
+    one.
     """
+    if not diagram.n_semiarcs:
+        return [()][:limit]
     colorings = (coloring for batch in _column_walk(diagram, target) for coloring in zip(*batch))
     if limit is None:
         return sorted(colorings)
@@ -214,13 +237,21 @@ def enumerate_colorings(
 
 
 def counting_invariant(diagram: LinkDiagram, target: FiniteBiquandle) -> int:
-    """Number of colorings of the diagram by the target biquandle: the
-    sum of the widths of the `_column_walk` batches, with no coloring
-    built.  The walk follows the diagram crossing by crossing, not the
-    numbering of its semiarcs, so T(2, 21) on the 27-element X27 counts
-    in about 3 ms.
+    """Number of colorings of the diagram by the target biquandle.
+
+    The colorings of a split diagram are the products of its pieces'
+    colorings (`split_pieces`), so the count is the product of the piece
+    counts, and a diagram with no components has one coloring.  A
+    piece's count is the sum of the widths of its `_column_walk`
+    batches, with no coloring built.  The walk follows the piece
+    crossing by crossing, not the numbering of its semiarcs, so T(2, 21)
+    on the 27-element X27 counts in about 3 ms, and each piece's walk
+    stops at _WALK_BOUND candidates on its own.
     """
-    return sum(len(batch[0]) for batch in _column_walk(diagram, target))
+    return prod(
+        sum(len(batch[0]) for batch in _column_walk(piece, target))
+        for piece in split_pieces(diagram)
+    )
 
 
 class BBPolynomial:
@@ -330,32 +361,36 @@ def phi_bb(diagram: LinkDiagram, spec: BilinearSpec) -> BBPolynomial:
     the sub-biquandle generated by the coloring.
 
     Seeds (sets of colors) and images are int bit masks, bit c for
-    carrier index c.  Each `_column_walk` batch is tallied by seed in
-    one `Counter`, its masks OR-ed together column by column in C
-    passes, and each distinct seed is worked out once and counted with
-    its tally.  Its image is grown from the images of its prefixes in
-    ascending color order: a color already in the prefix image leaves
-    it as it is, and a new one extends the closed prefix image through
-    `_grower`.  Each step is kept under the mask of prefix image and
-    color, as the closure of that set does not depend on how it splits,
-    and (|image|, |span|) is kept per image: seeds with one image share
-    one span count.  The memos and the grower's pair list live for the
-    call only.
+    carrier index c, and `grown` maps a mask to the mask of its
+    closure, for the call.  Each split piece (`split_pieces`) is walked
+    once: its `_column_walk` batches are tallied by seed in one
+    `Counter`, their masks OR-ed together column by column in C passes,
+    and each distinct seed's image is grown through `_grower` from the
+    images of its prefixes in ascending color order: a color already in
+    the prefix image leaves it as it is, and a new one extends the
+    closed prefix image.  The piece's colorings are then tallied by
+    image, with one seed that generates each image.
+
+    A coloring of a split diagram is one coloring of each piece, and
+    its image is the sub-biquandle generated by the union of the
+    pieces' images.  So the tallies fold piece by piece, starting from
+    the empty image once: the join of an image a so far and a piece's
+    image b is b grown by a's seed, kept in `grown` under a | b, which
+    does not depend on the order of the pair, and its tally is the
+    product of theirs.  Growing the piece's image, often a few colors,
+    shares more steps than growing the image so far: `;;` on the
+    49-element `7,2,1,1,[[0,1],[6,0]]` takes 2,513 grow calls where
+    the other way takes 7,554.  (|image|, |span|) is counted once per
+    final image, from the seed the join keeps.
     """
     target = checked_tables(spec)
     bits = [1 << c for c in range(target.size)]
-    seeds: Counter[int] = Counter()
-    for batch in _column_walk(diagram, target):
-        masks = map(bits.__getitem__, batch[0])
-        for col in batch[1:]:
-            masks = list(map(or_, masks, map(bits.__getitem__, col)))
-        seeds.update(masks)
     grow = _grower(target)
     grown: dict[int, int] = {}
-    by_image: dict[int, tuple[int, int]] = {}
-    terms: Counter[tuple[int, int]] = Counter()
-    for seed, tally in seeds.items():
-        image, rest = 0, seed
+
+    def close(image: int, seed: int) -> int:
+        """The closure of a closed image and a seed."""
+        rest = seed & ~image
         while rest:
             bit = rest & -rest
             step = image | bit
@@ -363,12 +398,39 @@ def phi_bb(diagram: LinkDiagram, spec: BilinearSpec) -> BBPolynomial:
                 grown[step] = grow(image, bit.bit_length() - 1)
             image = grown[step]
             rest &= ~image
-        key = by_image.get(image)
-        if key is None:
-            # Each operation's output is a Z_n-combination of its
-            # inputs, so the image spans the same submodule as the
-            # colors of any seed that generates it.
-            vectors = {target.carrier[i] for i in _members(seed)}
-            key = by_image[image] = (image.bit_count(), span_size(vectors, spec.n, spec.m))
-        terms[key] += tally
+        return image
+
+    tally: Counter[int] = Counter({0: 1})  # image -> colorings so far
+    seed_of = {0: 0}  # image -> a seed that generates it
+    for piece in split_pieces(diagram):
+        seeds: Counter[int] = Counter()
+        for batch in _column_walk(piece, target):
+            masks = map(bits.__getitem__, batch[0])
+            for col in batch[1:]:
+                masks = list(map(or_, masks, map(bits.__getitem__, col)))
+            seeds.update(masks)
+        piece_tally: Counter[int] = Counter()
+        piece_seed: dict[int, int] = {}
+        for seed, count in seeds.items():
+            image = close(0, seed)
+            piece_tally[image] += count
+            piece_seed.setdefault(image, seed)
+        joined: Counter[int] = Counter()
+        joined_seed: dict[int, int] = {}
+        for a, count_a in tally.items():
+            for b, count_b in piece_tally.items():
+                key = a | b
+                image = grown.get(key)
+                if image is None:
+                    image = grown[key] = close(b, seed_of[a])
+                joined[image] += count_a * count_b
+                joined_seed.setdefault(image, seed_of[a] | piece_seed[b])
+        tally, seed_of = joined, joined_seed
+    terms: Counter[tuple[int, int]] = Counter()
+    for image, count in tally.items():
+        # Each operation's output is a Z_n-combination of its inputs, so
+        # the image spans the same submodule as the colors of any seed
+        # that generates it.
+        vectors = {target.carrier[i] for i in _members(seed_of[image])}
+        terms[image.bit_count(), span_size(vectors, spec.n, spec.m)] += count
     return BBPolynomial(terms)

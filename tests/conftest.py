@@ -30,6 +30,13 @@ def torus_2(k: int) -> str:
     return "".join(f"{'OU'[j % 2]}{j % k + 1}+" for j in range(2 * k))
 
 
+def hopf_chain(k: int) -> str:
+    """Gauss code of k unknots linked in a chain, each to the next by a
+    Hopf clasp: one split piece."""
+    links = [f"O{2 * i}+U{2 * i - 1}+O{2 * i + 1}+U{2 * i + 2}+" for i in range(1, k - 1)]
+    return ";".join(["O1+U2+", *links, f"O{2 * k - 2}+U{2 * k - 3}+"])
+
+
 def all_assignments_colorings(diagram: LinkDiagram, target: FiniteBiquandle):
     """Exhaustive coloring oracle: test every total assignment against
     every crossing relation.  Independent of the propagating search."""

@@ -463,6 +463,19 @@ class TestSpecCapacity:
         assert len(err.splitlines()) == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["invariant"], ["color"], ["color", "--limit", "1"]],
+        ids=["invariant", "color", "color-limit-1"],
+    )
+    def test_walk_bound(self, capsys, monkeypatch, argv):
+        # The Hopf link's walk makes 756 candidates on X27, so with the
+        # bound at 500 it stops before anything is printed.
+        monkeypatch.setattr(invariant, "_WALK_BOUND", 500)
+        x27 = "3,3,2,2,[[0,0,0],[0,0,1],[0,2,0]]"
+        code, out, err = invoke(capsys, *argv, "--link", "hopf_pos", "--spec", x27)
+        assert (code, out, err) == (3, "", "error: coloring walk exceeds bound of 500 candidates\n")
+
 
 class TestUsage:
     def test_no_subcommand(self, capsys):

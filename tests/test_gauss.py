@@ -2,6 +2,7 @@ import pytest
 
 from bilbiq import (
     Crossing,
+    LinkDiagram,
     ParseError,
     SignMismatch,
     UnknownLink,
@@ -11,6 +12,7 @@ from bilbiq import (
     parse_gauss,
     print_gauss,
 )
+from bilbiq.gauss import split_pieces
 
 
 class TestParseGauss:
@@ -96,6 +98,30 @@ class TestPrintGauss:
     )
     def test_round_trip(self, code):
         assert print_gauss(parse_gauss(code)) == code
+
+
+class TestSplitPieces:
+    @pytest.mark.parametrize(
+        "code, pieces",
+        [
+            ("O1+U2+;;O2+U1+", ["O1+U2+;O2+U1+", ""]),
+            ("U1-;O2+;O1-;U2+;", ["U1-;O1-", "O2+;U2+", ""]),
+            (";O1+U1+;O2-;;U2-", ["", "O1+U1+", "O2-;U2-", ""]),
+            ("O1+U2+;O2+U1+O3+U4+;O4+U3+", ["O1+U2+;O2+U1+O3+U4+;O4+U3+"]),
+        ],
+    )
+    def test_each_piece_is_its_own_code(self, code, pieces):
+        # Components that share a crossing stay together, however far
+        # apart the code puts them, and each piece is numbered as the
+        # code of its components alone.
+        assert split_pieces(parse_gauss(code)) == [parse_gauss(piece) for piece in pieces]
+
+    def test_one_component_is_one_piece(self):
+        diagram = builtin_link("trefoil")
+        assert split_pieces(diagram) == [diagram]
+
+    def test_no_components_no_pieces(self):
+        assert split_pieces(LinkDiagram((), {}, 0)) == []
 
 
 class TestCrossingRelations:

@@ -6,7 +6,9 @@ import pytest
 from bilbiq import (
     BUILTIN_CODES,
     BBPolynomial,
+    CapacityExceeded,
     InvariantViolation,
+    LinkDiagram,
     alexander_biquandle,
     build_bilinear,
     builtin_link,
@@ -22,6 +24,7 @@ from bilbiq import (
 from bilbiq import invariant
 from conftest import (
     all_assignments_colorings,
+    hopf_chain,
     invalid_shapes,
     random_tables,
     reference_closure,
@@ -106,16 +109,15 @@ class TestEnumerateColorings:
 
     def test_random_codes_match_oracle(self):
         # 1-3 crossings cut into 1-3 components give kinks in both token
-        # orders and signs, one-token components and free components
-        targets = [alexander_biquandle(3, 2, 1)] + [
-            build_bilinear(parse_spec(text))
-            for text in (
-                "3,2,2,2,[[0,1],[2,0]]",
-                "3,2,2,2,[[0,0],[0,0]]",
-                "4,2,1,3,[[2,1],[1,2]]",
-            )
-        ]
+        # orders and signs, one-token components and free components.
+        # The split links after them have three to five pieces, or a
+        # piece whose components are not adjacent in the code; on them
+        # the count and phi_BB, which go piece by piece, are checked too.
+        specs = ["3,2,2,2,[[0,1],[2,0]]", "3,2,2,2,[[0,0],[0,0]]", "4,2,1,3,[[2,1],[1,2]]"]
+        targets = [(None, alexander_biquandle(3, 2, 1))]
+        targets += [(parse_spec(text), build_bilinear(parse_spec(text))) for text in specs]
         rng = random.Random(20070813)
+        codes = []
         for _ in range(40):
             n_cross = rng.randint(1, 3)
             tokens = []
@@ -125,15 +127,22 @@ class TestEnumerateColorings:
             rng.shuffle(tokens)
             cuts = sorted(rng.randint(0, len(tokens)) for _ in range(rng.randint(0, 2)))
             bounds = [0, *cuts, len(tokens)]
-            code = ";".join("".join(tokens[a:b]) for a, b in zip(bounds, bounds[1:]))
+            codes.append(";".join("".join(tokens[a:b]) for a, b in zip(bounds, bounds[1:])))
+        split = [";;", ";;;;", ";O1-U1-;", "O1+U1+;O2-U2-;", "O1+;;U1+;", "O1+U2+;;O2+U1+",
+                 "U1-;O2+;O1-;U2+;", "O1+;O2-;;U1+;U2-"]
+        for code in codes + split:
             diagram = parse_gauss(code)
             assert parse_gauss(print_gauss(diagram)) == diagram
-            for target in targets:
+            for spec, target in targets:
                 if target.size**diagram.n_semiarcs <= 2 * 10**5:
                     want = all_assignments_colorings(diagram, target)
                     assert enumerate_colorings(diagram, target) == want, (code, target.size)
                     assert reference_colorings(diagram, target) == want, (code, target.size)
                     assert column_walk(diagram, target) == Counter(want), (code, target.size)
+                    if code in split:
+                        assert counting_invariant(diagram, target) == len(want), code
+                        if spec is not None:
+                            assert phi_bb(diagram, spec).terms == reference_phi(diagram, spec), code
 
     def test_targets_without_bijective_rows_match_oracle(self):
         # An inverse row or column may list several values or none, so the
@@ -220,7 +229,7 @@ class TestOrderFreeWalk:
     def test_pieces_match_one_batch(self, monkeypatch, bb1_spec, width):
         # Branches, and inversions with several fits (the non-biquandle
         # tables), widen the batch past these widths, so the walk goes
-        # in pieces.
+        # in chunks of the width.
         rng = random.Random(20261020)
         targets = [build_bilinear(bb1_spec), alexander_biquandle(3, 2, 1), *invalid_shapes()[1:]]
         targets += [random_tables(rng, 4) for _ in range(4)]
@@ -235,11 +244,60 @@ class TestOrderFreeWalk:
             assert counting_invariant(*case) == sum(want.values())
 
     def test_first_piece_of_eleven_free_components(self):
-        # 27^11 colorings: the first piece comes without the rest listed.
+        # 27^11 colorings: the first chunk comes without the rest listed.
         diagram, target = parse_gauss(";" * 10), build_bilinear(parse_spec(X27))
         batch = next(invariant._column_walk(diagram, target))
         assert len(batch) == 11
         assert len(set(zip(*batch))) == len(batch[0]) == invariant._WIDTH
+
+
+class TestNoSemiarcs:
+    """A hand-built diagram with no semiarcs has one coloring, the empty
+    one, whose image is empty and spans {0}."""
+
+    EMPTY = LinkDiagram((), {}, 0)
+
+    def test_count(self, bb1_spec):
+        assert counting_invariant(self.EMPTY, build_bilinear(bb1_spec)) == 1
+
+    def test_enumerate(self, bb1_spec):
+        target = build_bilinear(bb1_spec)
+        assert enumerate_colorings(self.EMPTY, target) == [()]
+        assert enumerate_colorings(self.EMPTY, target, 0) == []
+
+    def test_phi(self, bb1_spec):
+        assert phi_bb(self.EMPTY, bb1_spec).to_string() == "z"
+
+
+class TestWalkBound:
+    """Every walk stops with CapacityExceeded once it has made
+    _WALK_BOUND candidates; counts and phi_BB walk each split piece on
+    its own."""
+
+    def test_every_walk_stops(self, monkeypatch):
+        spec = parse_spec(X27)
+        target = build_bilinear(spec)
+        hopf, unlink = builtin_link("hopf_pos"), parse_gauss(";;")
+        # The Hopf link makes 756 candidates on X27, and each of the
+        # unlink's pieces 27.
+        monkeypatch.setattr(invariant, "_WALK_BOUND", 500)
+        for call in (counting_invariant, enumerate_colorings):
+            with pytest.raises(CapacityExceeded, match="exceeds bound of 500 candidates"):
+                call(hopf, target)
+        with pytest.raises(CapacityExceeded):
+            phi_bb(hopf, spec)
+        with pytest.raises(CapacityExceeded):
+            enumerate_colorings(unlink, target, 1)
+        assert counting_invariant(unlink, target) == 27**3
+        assert phi_bb(unlink, spec).specialize(1, 1) == 27**3
+
+    def test_chains_of_hopf_links_on_z27(self):
+        # Four components linked in a chain are one piece with 27^4
+        # colorings; eight would have 27^8, and the walk stops first.
+        target = build_bilinear(parse_spec("3,3,2,2,[[0,0,0],[0,0,0],[0,0,0]]"))
+        assert counting_invariant(parse_gauss(hopf_chain(4)), target) == 27**4
+        with pytest.raises(CapacityExceeded):
+            counting_invariant(parse_gauss(hopf_chain(8)), target)
 
 
 class TestBBPolynomial:
@@ -310,6 +368,13 @@ class TestPhiBB:
         # whole carrier in several rounds of closure.
         poly = phi_bb(parse_gauss(";"), parse_spec(Z7S))
         assert poly.to_string() == "q z + 48 q z^7 + 336 q^2 z^7 + 2016 q^48 z^49"
+
+    def test_three_free_components_on_z7_symplectic(self):
+        # Three pieces of 49 colorings: the images of the first two are
+        # joined, then grown by the third's.
+        assert phi_bb(parse_gauss(";;"), parse_spec(Z7S)).to_string() == (
+            "q z + 48 q z^7 + 1008 q^2 z^7 + 1680 q^3 z^7 + 108864 q^48 z^49 + 6048 q^49 z^49"
+        )
 
 
 class TestSubbiquandleClosure:
