@@ -197,6 +197,13 @@ def _gather(source):
     return itemgetter(*source)
 
 
+def _first_difference(left, right):
+    """The first index at which two sequences of one length differ, or None."""
+    if left == right:
+        return None
+    return next(d for d, (u, v) in enumerate(zip(left, right)) if u != v)
+
+
 def _axiom3(bq: FiniteBiquandle) -> AxiomViolation | None:
     """Axiom 3 for every (a, b, c).
 
@@ -217,6 +224,16 @@ def _axiom3(bq: FiniteBiquandle) -> AxiomViolation | None:
     maps in c, and each identity is one comparison.  The witness is the
     least (a, b, c, identity): the first difference in a block that
     differs, least over the blocks.
+
+    A constant-row lower table, as in every bilinear and Alexander
+    biquandle, is one map L in every column: x_y = L x for all y.  Then
+    identity 2 holds at every (a, b, c), as both sides are L L c.
+    Identity 3 reads (L b)^(L c) = L (b^c), with no a in it: it holds at
+    (a, b, c) iff it holds at (0, b, c).  So it is checked once, as the
+    maps c -> (L b)^(L c) and c -> L (b^c) for each b, and its least
+    failure over every (a, b, c) is (0, b, c) at the least failing
+    (b, c).  Only identity 1 runs in the blocks.  The same holds for
+    upbar and lowbar, with identities 4 to 6.
     """
     n = bq.size
     if n <= _BYTE_LIMIT:
@@ -235,11 +252,18 @@ def _axiom3(bq: FiniteBiquandle) -> AxiomViolation | None:
     columns = list(map(slice, range(n), repeat(None), repeat(n)))
     # From each row start, 256 bytes (those past the row are never read) or the row.
     windows = list(map(slice, range(0, n * n, n), range(n + len(pad), n * n + n + len(pad), n)))
+    to_abc = [slice(p, None, n) for p in range(n)]  # (b, c, a) order to (a, b, c)
+
+    def abc(maps):
+        """Maps in a, in (b, c, a) order, joined in (a, b, c) order."""
+        return join(map(join(maps).__getitem__, to_abc))
 
     def sides(up, low):
-        """The sides of identities 1 to 3, as maps to join, for the b in
-        [b0, b1) and every a, at the offsets `at` in a flat table: r1 and
-        r3 in (b, c, a) order, then l1, l2, r2 and l3 in (a, b, c) order."""
+        """The blocks of one pair of tables, and the sides of identity 3
+        over (b, c) if `low` is constant-row, else None.  A block gives
+        the left and right sides of identities 1 to 3 for the b in
+        [b0, b1) and every a, at the offsets `at` in a flat table, joined
+        in (a, b, c) order; with `low` constant-row, identity 1 alone."""
         up_row = list(map(seq, up))
         up_flat, low_flat = join(up_row), join(map(seq, low))  # x^y, x_y at x n + y
         up_col = list(map(up_flat.__getitem__, columns))
@@ -251,45 +275,60 @@ def _axiom3(bq: FiniteBiquandle) -> AxiomViolation | None:
         )
         a_up = sources(up_col)  # x -> U_x
         c_low = sources(low_col)  # y -> L_y
+        constant = low_col.count(low_col[0]) == n  # every column is L = L_0
 
         def block(b0, b1, at):
             bc = slice(b0 * n, b1 * n)
             a_c_b = _gather(low_flat_t[bc])(a_up)  # U_{c_b} by (b, c)
             by_b_c = _gather(up_flat[bc])  # b^c
-            a_b_up, a_b, b_a = (
-                join(map(t.__getitem__, at)) for t in (up_flat, low_flat, low_flat_t)
-            )
-            by_a_b_up, by_b_a = _gather(a_b_up), _gather(b_a)
+            by_a_b_up = _gather(join(map(up_flat.__getitem__, at)))  # a^b
+            one = (join(by_a_b_up(up_row)), abc(map(apply, a_c_b, by_b_c(up_y))))
+            if constant:
+                return (one,)
+            a_b, b_a = (join(map(t.__getitem__, at)) for t in (low_flat, low_flat_t))
+            by_b_a = _gather(b_a)
             low_a = chain.from_iterable(map(repeat, low_y, repeat(b1 - b0)))  # L_a by (a, b)
             return (
-                map(apply, a_c_b, by_b_c(up_y)),
-                map(apply, a_c_b, by_b_c(low_x)),
-                by_a_b_up(up_row),
-                map(apply, c_low[b0:b1] * n, low_a),
-                map(apply, _gather(a_b)(c_low), by_b_a(low_y)),
-                map(apply, by_a_b_up(c_low), by_b_a(up_x)),
+                one,
+                (
+                    join(map(apply, c_low[b0:b1] * n, low_a)),
+                    join(map(apply, _gather(a_b)(c_low), by_b_a(low_y))),
+                ),
+                (
+                    join(map(apply, by_a_b_up(c_low), by_b_a(up_x))),
+                    abc(map(apply, a_c_b, by_b_c(low_x))),
+                ),
             )
 
-        return block
+        if not constant:
+            return block, None
+        # c -> (L b)^(L c), row L b of up after L, and c -> L (b^c), row b
+        # of up before L, for each b.
+        return block, (
+            join(map(apply, repeat(c_low[0], n), _gather(low_col[0])(up_x))),
+            join(map(apply, sources(up_row), repeat(low_y[0], n))),
+        )
 
-    pairs = (sides(bq.up, bq.low), sides(bq.upbar, bq.lowbar))
+    found = []  # (a, b, c, identity) of each first difference
+    blocks = []
+    for k, pair in enumerate(((bq.up, bq.low), (bq.upbar, bq.lowbar))):
+        block, identity3 = sides(*pair)
+        blocks.append((3 * k, block))
+        d = None if identity3 is None else _first_difference(*identity3)
+        if d is not None:
+            found.append((0, d // n, d % n, 3 * k + 2))
     step = max(1, min(n, _BLOCK // (n * n)))
-    to_abc = [slice(p, None, n) for p in range(n)]  # (b, c, a) order to (a, b, c)
-    best = None
     for b0 in range(0, n, step):
         b1 = min(b0 + step, n)
         at = [slice(a * n + b0, a * n + b1) for a in range(n)]
-        for k, pair in enumerate(pairs):
-            r1, r3, l1, l2, r2, l3 = map(join, pair(b0, b1, at))
-            r1, r3 = join(map(r1.__getitem__, to_abc)), join(map(r3.__getitem__, to_abc))
-            for i, (left, right) in enumerate(((l1, r1), (l2, r2), (l3, r3))):
-                if left != right:
-                    d = next(d for d, (u, v) in enumerate(zip(left, right)) if u != v)
-                    found = (d // ((b1 - b0) * n), b0 + d // n % (b1 - b0), d % n, 3 * k + i)
-                    best = found if best is None else min(best, found)
-    if best is None:
+        for first, block in blocks:
+            for i, (left, right) in enumerate(block(b0, b1, at)):
+                d = _first_difference(left, right)
+                if d is not None:
+                    found.append((d // ((b1 - b0) * n), b0 + d // n % (b1 - b0), d % n, first + i))
+    if not found:
         return None
-    a, b, c, i = best
+    a, b, c, i = min(found)
     return AxiomViolation(3, _AXIOM3_EQUATIONS[i], (a, b, c))
 
 

@@ -88,13 +88,8 @@ def cmd_color(args) -> int:
     diagram = _load_diagram(args)
     target = bilinear.checked_tables(bilinear.parse_spec(args.spec))
     shown = invariant.enumerate_colorings(diagram, target, args.limit)
-    for coloring in shown:
-        print(
-            " ".join(
-                "(" + ",".join(str(c) for c in target.carrier[i]) + ")"
-                for i in coloring
-            )
-        )
+    labels = ["(" + ",".join(map(str, v)) + ")" for v in target.carrier]
+    sys.stdout.writelines(" ".join(map(labels.__getitem__, c)) + "\n" for c in shown)
     # Only a list cut at the limit can leave colorings out, so only then
     # is the link colored a second time, to count them.
     if len(shown) == args.limit:

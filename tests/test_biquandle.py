@@ -28,6 +28,7 @@ from bilbiq import (
 )
 from bilbiq import biquandle
 from bilbiq.biquandle import _build_tables
+from bilbiq.cli import run
 
 from conftest import (
     invalid_shapes,
@@ -252,6 +253,79 @@ class TestAxiom3Firsts:
             for low in rows:
                 bq = FiniteBiquandle(range(2), up, up, low, low)
                 assert axiom3_as(bq) == reference_axiom3(bq, range(2)), (up, low)
+
+    def test_constant_row_lower_tables(self, axiom3_as):
+        """Random up and upbar over constant-row low and lowbar, then
+        with only one of the two lower tables constant-row."""
+        rng = random.Random(20261022)
+        for _ in range(300):
+            size = rng.randint(1, 7)
+            drawn = random_tables(rng, size)
+            up, upbar, low, lowbar = drawn.up, drawn.upbar, drawn.low, drawn.lowbar
+            constant = [[rng.randrange(size)] * size for _ in range(size)]
+            for lower in ((constant, constant), (constant, lowbar), (low, constant)):
+                bq = FiniteBiquandle(range(size), up, upbar, *lower)
+                assert axiom3_as(bq) == reference_axiom3(bq, range(size)), (bq.up, bq.low)
+
+    @pytest.mark.parametrize(
+        "entry, identity, witness",
+        [
+            ((0, 2), 3, (0, 0, 2)),  # identity 1 fails first at (0, 0, 3)
+            ((1, 1), 3, (0, 0, 0)),  # identity 1 fails first at (1, 0, 0)
+            ((0, 3), 1, (0, 0, 1)),  # identity 3 fails first at (0, 0, 3)
+            ((0, 0), 1, (0, 0, 0)),  # both fail first at (0, 0, 0)
+        ],
+    )
+    def test_identity_3_against_identity_1(self, axiom3_as, entry, identity, witness):
+        """One entry of up or upbar moved on the Alexander biquandle on
+        Z_5 breaks identity 3 (or 6), which is checked over (b, c) alone,
+        and identity 1 (or 4), checked in the blocks; the least of the
+        two witnesses is reported, whichever it is."""
+        base = alexander_biquandle(5, 2, 3)
+        x, y = entry
+        for k in range(2):
+            tables = [[list(row) for row in t] for t in (base.up, base.upbar)]
+            tables[k][x][y] = (tables[k][x][y] + 1) % 5
+            bq = FiniteBiquandle(range(5), *tables, base.low, base.lowbar)
+            violation = axiom3_as(bq)
+            assert violation == reference_axiom3(bq, range(5))
+            if k == 0:
+                equation = biquandle._AXIOM3_EQUATIONS[identity - 1]
+                assert violation == AxiomViolation(3, equation, witness)
+
+    def test_changed_up_entry_on_27_elements(self, axiom3_as):
+        """X27 with one entry of up moved, at each of a few places."""
+        base = build_bilinear(parse_spec("3,3,2,2,[[0,0,0],[0,0,1],[0,2,0]]"))
+        assert axiom3_as(base) is None
+        for x, y in ((0, 26), (13, 13), (26, 0), (20, 7)):
+            up = [list(row) for row in base.up]
+            up[x][y] = (up[x][y] + 1) % 27
+            bq = FiniteBiquandle(range(27), up, base.upbar, base.low, base.lowbar)
+            violation = axiom3_as(bq)
+            assert violation is not None and violation == reference_axiom3(bq, range(27)), (x, y)
+
+
+def is_constant_row(table) -> bool:
+    return all(row.count(row[0]) == len(row) for row in table)
+
+
+class TestLowerTablesConstantRow:
+    """`_axiom3` checks identities 2 and 3 over (b, c) alone when low
+    and lowbar are constant-row; the structures bilbiq builds are."""
+
+    def test_table_27_specs(self, capsys):
+        assert run(["table", "--max-cardinality", "27"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "found 15"
+        for line in lines[:-1]:
+            bq = build_bilinear(parse_spec(line.split()[0]))
+            assert is_constant_row(bq.low) and is_constant_row(bq.lowbar), line
+
+    def test_alexander(self):
+        for n in range(1, 13):
+            for s, t in itertools.product(units(n) if n > 1 else [1], repeat=2):
+                bq = alexander_biquandle(n, s, t)
+                assert is_constant_row(bq.low) and is_constant_row(bq.lowbar), (n, s, t)
 
 
 class TestBuildTables:
