@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 from . import bilinear, biquandle
@@ -87,13 +88,16 @@ def cmd_color(args) -> int:
         raise ParseError(f"--limit must be >= 0, got {args.limit}")
     diagram = _load_diagram(args)
     target = bilinear.checked_tables(bilinear.parse_spec(args.spec))
-    shown = invariant.enumerate_colorings(diagram, target, args.limit)
     labels = ["(" + ",".join(map(str, v)) + ")" for v in target.carrier]
-    sys.stdout.writelines(" ".join(map(labels.__getitem__, c)) + "\n" for c in shown)
-    # Only a list cut at the limit can leave colorings out, so only then
-    # is the link colored a second time, to count them.
-    if len(shown) == args.limit:
-        rest = invariant.counting_invariant(diagram, target) - len(shown)
+    # Each line is written as the sorted stream gives it, and counted:
+    # zip stops at the stream's end before it takes from the counter.
+    counter = itertools.count()
+    stream = zip(invariant._sorted_colorings(diagram, target, args.limit), counter)
+    sys.stdout.writelines(" ".join(map(labels.__getitem__, c)) + "\n" for c, _ in stream)
+    # Only a stream cut at the limit can leave colorings out, so only
+    # then is the link colored a second time, to count them.
+    if next(counter) == args.limit:
+        rest = invariant.counting_invariant(diagram, target) - args.limit
         if rest:
             print(f"... ({rest} more)")
     return EXIT_OK

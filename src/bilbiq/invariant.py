@@ -14,8 +14,9 @@ the sub-biquandle they generate.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, groupby, islice, repeat
 from math import prod
 from operator import eq, getitem, itemgetter, or_
 
@@ -59,9 +60,10 @@ _WIDTH = 4096
 # CapacityExceeded.  The largest walks of the tests, the CI and the
 # benchmark make 905,175 (the first chunk of eleven free components on
 # the 27-element X27), 551,880 (`color` of ';;;' on X27: 27 + 27^2 +
-# 27^3 + 27^4) and 756 candidates.  An unlimited `color` holds every
-# coloring it finds, at most one per candidate: stopped here, `color`
-# of ';;;;' on X27 peaks at 165 MB, against 323 MB at twice the bound.
+# 27^3 + 27^4) and 756 candidates.  `color` holds one group of
+# colorings at a time (`_sorted_colorings`): stopped here, an unlimited
+# `color` of ';;;;' on X27 has written three whole groups of 27^4 lines
+# and peaks at 60 MB.
 _WALK_BOUND = 2_000_000
 _BRANCH, _TABLE, _INVERT = range(3)
 
@@ -212,28 +214,38 @@ def _column_walk(diagram: LinkDiagram, target: FiniteBiquandle):
             yield [cols[c] for c in column]
 
 
+def _sorted_colorings(diagram: LinkDiagram, target: FiniteBiquandle, limit: int | None = None):
+    """The colorings in lexicographic order, streamed: all of them, or
+    the `limit` least.
+
+    `_plan` opens with a branch on semiarc 0, which gets column 0, and
+    every later step keeps the order of its candidates, so
+    `_column_walk` meets the colorings grouped by semiarc 0's color,
+    ascending.  Each group is sorted on its own and the groups are
+    chained, so no more than one group is held at a time, and with a
+    limit the walk ends with the group that reaches it.
+    """
+    colorings = [()]
+    if diagram.n_semiarcs:
+        walked = chain.from_iterable(zip(*batch) for batch in _column_walk(diagram, target))
+        colorings = chain.from_iterable(sorted(group) for _, group in groupby(walked, itemgetter(0)))
+    # islice refuses a stop past sys.maxsize, which no stream reaches.
+    return islice(colorings, None if limit is None else min(limit, sys.maxsize))
+
+
 def enumerate_colorings(
     diagram: LinkDiagram, target: FiniteBiquandle, limit: int | None = None
 ) -> list[tuple[int, ...]]:
     """The colorings, as semiarc-indexed tuples of carrier indices, in
     lexicographic order: all of them, or the `limit` least.
 
-    The colorings come from `_column_walk`, whose order follows the
-    diagram's crossings, and are sorted here.  With a limit only the
-    least are kept, by `heapq.nsmallest`, so memory stays bounded by the
-    walk's batch width and the limit, not by the number of colorings.
-    The walk covers the whole diagram, so it stops at _WALK_BOUND
-    candidates.  A diagram with no semiarcs has one coloring, the empty
-    one.
+    The list is `_sorted_colorings`, whose memory beyond the list is one
+    group of colorings that share semiarc 0's color.  The walk stops at
+    _WALK_BOUND candidates, and with a limit it ends after the group
+    that reaches it.  A diagram with no semiarcs has one coloring, the
+    empty one.
     """
-    if not diagram.n_semiarcs:
-        return [()][:limit]
-    colorings = (coloring for batch in _column_walk(diagram, target) for coloring in zip(*batch))
-    if limit is None:
-        return sorted(colorings)
-    import heapq  # here only, so counts and phi_BB never load it
-
-    return heapq.nsmallest(limit, colorings)
+    return list(_sorted_colorings(diagram, target, limit))
 
 
 def counting_invariant(diagram: LinkDiagram, target: FiniteBiquandle) -> int:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import signal
@@ -331,6 +332,44 @@ class TestColor:
         assert code == 0
         assert out.split("\n")[1:] == ["... (19682 more)", ""]
         assert peak < 0.5 * 2**20
+
+    def test_limit_one_on_five_free_components(self, capsys):
+        # 27^5 colorings: the stream stops after the first group of 27^4,
+        # under the walk bound, and the piecewise count gives the rest.
+        x27 = "3,3,2,2,[[0,0,0],[0,0,1],[0,2,0]]"
+        code, out, err = invoke(capsys, "color", "--gauss", ";;;;", "--spec", x27, "--limit", "1")
+        assert (code, out, err) == (0, " ".join(["(0,0,0)"] * 5) + "\n... (14348906 more)\n", "")
+
+    def test_unlimited_memory(self, monkeypatch):
+        # 27^4 colorings in groups of 27^3: the stream holds one group,
+        # where a sorted list of them all peaks above 40 MiB.  stdout is
+        # a file, as capsys would hold every line.
+        x27 = "3,3,2,2,[[0,0,0],[0,0,1],[0,2,0]]"
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                code = run(["color", "--gauss", ";;;", "--spec", x27])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 8 * 2**20
+
+    def test_walk_bound_mid_stream(self, capsys, monkeypatch):
+        # The first three branches on ';;;' make 27 + 27^2 + 27^3
+        # candidates and each chunk of the fourth 4,096 x 27, so at this
+        # bound the walk stops in its second chunk, after whole groups
+        # of 27^3 have been written.
+        monkeypatch.setattr(invariant, "_WALK_BOUND", 150_000)
+        x27 = "3,3,2,2,[[0,0,0],[0,0,1],[0,2,0]]"
+        code, out, err = invoke(capsys, "color", "--gauss", ";;;", "--spec", x27)
+        assert (code, err) == (3, "error: coloring walk exceeds bound of 150000 candidates\n")
+        lines = out.splitlines()
+        assert 0 < len(lines) < 27**4 and len(lines) % 27**3 == 0
+        labels = ["(" + ",".join(map(str, v)) + ")" for v in build_bilinear(parse_spec(x27)).carrier]
+        everything = itertools.product(labels, repeat=4)
+        assert lines == [" ".join(c) for c in itertools.islice(everything, len(lines))]
 
     def test_bad_gauss(self, capsys):
         code, _, err = invoke(capsys, "color", "--gauss", "bad", "--spec", self.BB1)

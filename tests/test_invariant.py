@@ -37,6 +37,35 @@ X27 = "3,3,2,2,[[0,0,0],[0,0,1],[0,2,0]]"
 Z7S = "7,2,1,1,[[0,1],[6,0]]"
 
 
+# Three bilinear targets and an Alexander one, of 9 to 16 elements.
+ORACLE_SPECS = ["3,2,2,2,[[0,1],[2,0]]", "3,2,2,2,[[0,0],[0,0]]", "4,2,1,3,[[2,1],[1,2]]"]
+SPLIT_CODES = [";;", ";;;;", ";O1-U1-;", "O1+U1+;O2-U2-;", "O1+;;U1+;", "O1+U2+;;O2+U1+",
+               "U1-;O2+;O1-;U2+;", "O1+;O2-;;U1+;U2-"]
+
+
+def oracle_targets() -> list:
+    """(spec, target) pairs, spec None for the Alexander target."""
+    targets = [(None, alexander_biquandle(3, 2, 1))]
+    return targets + [(parse_spec(text), build_bilinear(parse_spec(text))) for text in ORACLE_SPECS]
+
+
+def random_codes() -> list[str]:
+    """40 seeded codes: 1-3 crossings cut into 1-3 components."""
+    rng = random.Random(20070813)
+    codes = []
+    for _ in range(40):
+        n_cross = rng.randint(1, 3)
+        tokens = []
+        for cid in range(1, n_cross + 1):
+            sign = rng.choice("+-")
+            tokens += [f"O{cid}{sign}", f"U{cid}{sign}"]
+        rng.shuffle(tokens)
+        cuts = sorted(rng.randint(0, len(tokens)) for _ in range(rng.randint(0, 2)))
+        bounds = [0, *cuts, len(tokens)]
+        codes.append(";".join("".join(tokens[a:b]) for a, b in zip(bounds, bounds[1:])))
+    return codes
+
+
 def column_walk(diagram, target) -> Counter:
     """The colorings that counting_invariant and phi_bb walk, as a multiset."""
     return Counter(c for batch in invariant._column_walk(diagram, target) for c in zip(*batch))
@@ -113,24 +142,8 @@ class TestEnumerateColorings:
         # The split links after them have three to five pieces, or a
         # piece whose components are not adjacent in the code; on them
         # the count and phi_BB, which go piece by piece, are checked too.
-        specs = ["3,2,2,2,[[0,1],[2,0]]", "3,2,2,2,[[0,0],[0,0]]", "4,2,1,3,[[2,1],[1,2]]"]
-        targets = [(None, alexander_biquandle(3, 2, 1))]
-        targets += [(parse_spec(text), build_bilinear(parse_spec(text))) for text in specs]
-        rng = random.Random(20070813)
-        codes = []
-        for _ in range(40):
-            n_cross = rng.randint(1, 3)
-            tokens = []
-            for cid in range(1, n_cross + 1):
-                sign = rng.choice("+-")
-                tokens += [f"O{cid}{sign}", f"U{cid}{sign}"]
-            rng.shuffle(tokens)
-            cuts = sorted(rng.randint(0, len(tokens)) for _ in range(rng.randint(0, 2)))
-            bounds = [0, *cuts, len(tokens)]
-            codes.append(";".join("".join(tokens[a:b]) for a, b in zip(bounds, bounds[1:])))
-        split = [";;", ";;;;", ";O1-U1-;", "O1+U1+;O2-U2-;", "O1+;;U1+;", "O1+U2+;;O2+U1+",
-                 "U1-;O2+;O1-;U2+;", "O1+;O2-;;U1+;U2-"]
-        for code in codes + split:
+        targets = oracle_targets()
+        for code in random_codes() + SPLIT_CODES:
             diagram = parse_gauss(code)
             assert parse_gauss(print_gauss(diagram)) == diagram
             for spec, target in targets:
@@ -139,7 +152,7 @@ class TestEnumerateColorings:
                     assert enumerate_colorings(diagram, target) == want, (code, target.size)
                     assert reference_colorings(diagram, target) == want, (code, target.size)
                     assert column_walk(diagram, target) == Counter(want), (code, target.size)
-                    if code in split:
+                    if code in SPLIT_CODES:
                         assert counting_invariant(diagram, target) == len(want), code
                         if spec is not None:
                             assert phi_bb(diagram, spec).terms == reference_phi(diagram, spec), code
@@ -249,6 +262,38 @@ class TestOrderFreeWalk:
         batch = next(invariant._column_walk(diagram, target))
         assert len(batch) == 11
         assert len(set(zip(*batch))) == len(batch[0]) == invariant._WIDTH
+
+
+class TestSortedStream:
+    """`_sorted_colorings` sorts the walk's colorings one group at a time.
+    That gives the lexicographic order only while the walk meets the
+    colorings grouped by semiarc 0's color, ascending: `_plan` must open
+    with a branch that gives semiarc 0 column 0, and no later step may
+    reorder the candidates.  A plan that chooses its branches by cost
+    must keep these."""
+
+    def test_walk_never_decreases_in_semiarc_0(self):
+        trefoil = BUILTIN_CODES["trefoil"]
+        codes = random_codes() + SPLIT_CODES + [trefoil + "U7+U8-O7+O8-", "U7+U8-O7+O8-" + trefoil]
+        for code in codes:
+            diagram = parse_gauss(code)
+            for _, target in oracle_targets():
+                plan, column = invariant._plan(diagram, target)
+                assert (plan[0], column[0]) == ((invariant._BRANCH,), 0), code
+                if target.size**diagram.n_semiarcs <= 2 * 10**5:
+                    firsts = [c for batch in invariant._column_walk(diagram, target) for c in batch[0]]
+                    assert firsts == sorted(firsts), (code, target.size)
+
+    @pytest.mark.parametrize("width", [1, 5, 4096])
+    def test_groups_across_chunks(self, monkeypatch, width):
+        # Three free components on 9 elements: 9^3 colorings in groups of
+        # 81, which chunks of these widths cut in and across.
+        monkeypatch.setattr(invariant, "_WIDTH", width)
+        diagram, target = parse_gauss(";;"), alexander_biquandle(9, 2, 1)
+        firsts = [c for batch in invariant._column_walk(diagram, target) for c in batch[0]]
+        assert firsts == sorted(firsts) and len(firsts) == 9**3
+        want = all_assignments_colorings(diagram, target)
+        assert list(invariant._sorted_colorings(diagram, target)) == want
 
 
 class TestNoSemiarcs:
